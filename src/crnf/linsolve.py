@@ -1,4 +1,4 @@
-"""Exact linear algebra over Fraction: elimination and matrix inversion.
+"""Exact linear algebra over Fraction: matrix inversion.
 
 Tiny and dependency-free on purpose; the per-weight systems are small
 (tens of unknowns) and must be solved exactly with exact singularity
@@ -8,35 +8,6 @@ detection, which rules out float-based libraries.
 from fractions import Fraction
 
 from .errors import SingularSystemError
-
-
-def solve_square(matrix, rhs):
-    """Solve M x = rhs for square M by Gaussian elimination.
-
-    matrix: list of n rows of n Fractions; rhs: list of n Fractions.
-    Raises SingularSystemError when M is singular.
-    """
-    n = len(matrix)
-    A = [list(row) + [v] for row, v in zip(matrix, rhs)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if A[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise SingularSystemError(f"singular system at column {col}")
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        if pv != 1:
-            A[col] = [a / pv for a in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                Ar, Ac = A[r], A[col]
-                A[r] = [a - f * b for a, b in zip(Ar, Ac)]
-    return [A[r][n] for r in range(n)]
 
 
 def invert(matrix):

@@ -245,27 +245,7 @@ class RealSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._require_same(other)
-        k, N = self.k, self.N
-        # iterate the smaller factor outside, the other sorted by weight so
-        # the inner loop can stop at the truncation boundary
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        bitems = sorted(b.items(), key=lambda kv: kv[0][0] + kv[0][1] + k * kv[0][2])
-        out = {}
-        for (j1, l1, m1), c1 in a.items():
-            budget = N - (j1 + l1 + k * m1)
-            for (j2, l2, m2), c2 in bitems:
-                if j2 + l2 + k * m2 > budget:
-                    break
-                key = (j1 + j2, l1 + l2, m1 + m2)
-                s = out.get(key, RAT_ZERO) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return _raw_real(k, N, out)
+        return mul_upto(self, other, self.N)
 
     __rmul__ = __mul__
 
@@ -274,14 +254,6 @@ class RealSeries:
         return _raw_real(k, self.N,
                          {key: c for key, c in self.coeffs.items()
                           if key[0] + key[1] + k * key[2] == mu})
-
-    def parts_by_weight(self):
-        """dict weight -> {key: coeff}, ascending keys not guaranteed."""
-        k = self.k
-        parts = {}
-        for key, c in self.coeffs.items():
-            parts.setdefault(key[0] + key[1] + k * key[2], {})[key] = c
-        return parts
 
     def truncate(self, N2: int) -> "RealSeries":
         if N2 > self.N:
@@ -367,6 +339,10 @@ class HoloSeries:
             raise StructuralError(
                 f"mismatched series: k={self.k},N={self.N} vs k={other.k},N={other.N}")
 
+    def weight(self, key) -> int:
+        j, m = key
+        return j + self.k * m
+
     def coeff(self, j, m) -> GaussRat:
         return self.coeffs.get((j, m), G_ZERO)
 
@@ -414,25 +390,7 @@ class HoloSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
             return self.scale(other)
-        self._require_same(other)
-        k, N = self.k, self.N
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        bitems = sorted(b.items(), key=lambda kv: kv[0][0] + k * kv[0][1])
-        out = {}
-        for (j1, m1), c1 in a.items():
-            budget = N - (j1 + k * m1)
-            for (j2, m2), c2 in bitems:
-                if j2 + k * m2 > budget:
-                    break
-                key = (j1 + j2, m1 + m2)
-                s = out.get(key, G_ZERO) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return _raw_holo(k, N, out)
+        return mul_upto(self, other, self.N)
 
     __rmul__ = __mul__
 
@@ -483,6 +441,54 @@ def _raw_holo(k, N, coeffs) -> HoloSeries:
     object.__setattr__(s, "N", N)
     object.__setattr__(s, "coeffs", coeffs)
     return s
+
+
+def _add_keys2(p, q):
+    return (p[0] + q[0], p[1] + q[1])
+
+
+def _add_keys3(p, q):
+    return (p[0] + q[0], p[1] + q[1], p[2] + q[2])
+
+
+def mul_upto(a, b, W: int):
+    """The product a * b through weight W, which is capped at the truncation N.
+
+    a and b are series of one class (RealSeries or HoloSeries) with equal k
+    and N.  No monomial of weight > W is formed, so the result is a * b with
+    those monomials dropped; it keeps the truncation tag N.
+    """
+    a._require_same(b)
+    W = min(W, a.N)
+    x, y = a.coeffs, b.coeffs
+    if len(x) > len(y):
+        x, y = y, x
+    # the larger factor sorted by weight, so the inner loop stops at the bound
+    weight = a.weight
+    ys = sorted(((weight(key), key, c) for key, c in y.items()),
+                key=lambda t: t[0])
+    if isinstance(a, RealSeries):
+        add, raw = _add_keys3, _raw_real
+    else:
+        add, raw = _add_keys2, _raw_holo
+    out = {}
+    for key1, c1 in x.items():
+        budget = W - weight(key1)
+        for w2, key2, c2 in ys:
+            if w2 > budget:
+                break
+            key = add(key1, key2)
+            v = c1 * c2
+            s = out.get(key)
+            if s is None:
+                out[key] = v
+                continue
+            s = s + v
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return raw(a.k, a.N, out)
 
 
 class ComplexSeries:
@@ -713,10 +719,11 @@ def to_real_basis(f: ComplexSeries) -> RealSeries:
 # pairs (Re, Im) of real series standing for one complex-valued series in
 # x, y, u; used to restrict holomorphic series to the hypersurface graph
 
-def _pair_mul(a, b):
+def _pair_mul(a, b, W):
     ar, ai = a
     br, bi = b
-    return (ar * br - ai * bi, ar * bi + ai * br)
+    return (mul_upto(ar, br, W) - mul_upto(ai, bi, W),
+            mul_upto(ar, bi, W) + mul_upto(ai, br, W))
 
 
 def _zpow_pair(j: int, k: int, N: int):
@@ -752,29 +759,42 @@ def restrict_to_M(h: HoloSeries, F: RealSeries):
     k, N = h.k, h.N
     Ft = F.truncate(N)
     zero = RealSeries(k, N)
-    out_re, out_im = zero, zero
     if h.is_zero():
-        return out_re, out_im
+        return zero, zero
 
     by_m = {}
     for (j, m), c in h.coeffs.items():
         by_m.setdefault(m, []).append((j, c))
+    top = max(by_m)
+
+    # (u + iF)^m feeds each term z^j' w^m' with m' >= m, which uses it only
+    # through N - j' - wmin (m' - m), where wmin is the lowest weight in u + iF
+    wmin = min(k, Ft.min_weight()) if Ft.coeffs else k
+    need = {}
+    low = None
+    for m in range(top, -1, -1):
+        cands = [j for j, _ in by_m.get(m, ())]
+        if low is not None:
+            cands.append(low + wmin)
+        low = min(cands)
+        need[m] = N - low
 
     u_series = RealSeries.monomial(k, N, 0, 0, 1)
     wpow = (RealSeries.monomial(k, N, 0, 0, 0), zero)  # w^0 = 1
-    wcur = 0
     w_pair = (u_series, Ft)  # u + iF
-    for m in sorted(by_m):
-        while wcur < m:
-            wpow = _pair_mul(wpow, w_pair)
-            wcur += 1
-        for j, c in by_m[m]:
-            zre, zim = _zpow_pair(j, k, N)
-            tr, ti = _pair_mul((zre, zim), wpow)
-            # scale the complex pair by the GaussRat coefficient c
-            out_re = out_re + tr.scale(c.re) - ti.scale(c.im)
-            out_im = out_im + tr.scale(c.im) + ti.scale(c.re)
-    return out_re, out_im
+    out_re, out_im = {}, {}
+    for m in range(top + 1):
+        if m:
+            wpow = _pair_mul(wpow, w_pair, need[m])
+        for j, c in by_m.get(m, ()):
+            tr, ti = _pair_mul(_zpow_pair(j, k, N), wpow, N)
+            # add c * (tr + i ti) to the accumulators
+            for out, part, x in ((out_re, tr, c.re), (out_re, ti, -c.im),
+                                 (out_im, tr, c.im), (out_im, ti, c.re)):
+                if x:
+                    for key, v in part.coeffs.items():
+                        _acc_add(out, key, x * v)
+    return _raw_real(k, N, out_re), _raw_real(k, N, out_im)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,16 @@ weight k, and act triangularly on weights, which is what makes the exact
 truncated computation possible: coefficients of f beyond weight N - k + 1
 and of g beyond weight N cannot influence the image graph through weight N,
 so FormalMap drops them canonically and equality of maps is structural.
+
+Weight budget: every product here is formed only through the weight its
+consumer can use.  A product that stands in for factors of total weight v
+inside a consumer term of weight w, where the consumer is wanted through
+weight W, is kept through W - w + v, capped at W (itself at most N).  For
+the power products of one substitution, w is the lowest weight among the
+consumer terms (the min weight of the substituted series for compose and
+inverse, k for the slices of the graph transform), and W is N - k + 1 for
+the f part of a map and N otherwise.  Nothing above a budget can reach a
+kept coefficient, so the results are the same as with products through N.
 """
 
 from dataclasses import dataclass
@@ -26,6 +36,7 @@ from .series import (
     RealSeries,
     _acc_add,
     _raw_real,
+    mul_upto,
     restrict_to_M,
 )
 
@@ -126,8 +137,9 @@ class FormalMap:
         # f'(z,w) = lz^-1 f2(lz z, lw w), g'(z,w) = lw^-1 g2(lz z, lw w)
         f2 = _scale_args(other.f, lz, lw, lz_power_shift=-1, lw_power_shift=0)
         g2 = _scale_args(other.g, lz, lw, lz_power_shift=0, lw_power_shift=-1)
-        f_comp = self.f + _shift_args(f2, self.f, self.g)
-        g_comp = self.g + _shift_args(g2, self.f, self.g)
+        # f is kept only through N - k + 1 (see the module docstring)
+        f_comp = self.f + _shift_args(f2, self.f, self.g, self.N - self.k + 1)
+        g_comp = self.g + _shift_args(g2, self.f, self.g, self.N)
         return FormalMap(f_comp, g_comp, self.linear.compose(other.linear))
 
     def inverse(self) -> "FormalMap":
@@ -136,8 +148,8 @@ class FormalMap:
         zero = HoloSeries.zero(k, N)
         phi, psi = zero, zero
         for _ in range(N):
-            phi2 = -_shift_args(self.f, phi, psi)
-            psi2 = -_shift_args(self.g, phi, psi)
+            phi2 = -_shift_args(self.f, phi, psi, N - k + 1)
+            psi2 = -_shift_args(self.g, phi, psi, N)
             if phi2 == phi and psi2 == psi:
                 break
             phi, psi = phi2, psi2
@@ -182,60 +194,37 @@ def _scale_args(h: HoloSeries, lz: GaussRat, lw: Fraction, lz_power_shift: int,
     return HoloSeries(h.k, h.N, out)
 
 
-def _shift_args(h: HoloSeries, df: HoloSeries, dg: HoloSeries) -> HoloSeries:
-    """h(z + df, w + dg) truncated at h.N.
+def _shift_args(h: HoloSeries, df: HoloSeries, dg: HoloSeries, W: int) -> HoloSeries:
+    """h(z + df, w + dg) through weight W <= h.N, with the tag h.N.
 
     df and dg must have min weights >= 2 and >= k+1 respectively so every
     substituted factor strictly raises the weight.
     """
-    k, N = h.k, h.N
+    k = h.k
     if h.is_zero() or (df.is_zero() and dg.is_zero()):
         return h
-    wf = df.min_weight()
-    wg = dg.min_weight()
-    gain_f = (wf - 1) if wf is not None else None
-    gain_g = (wg - k) if wg is not None else None
-    prods = {}
-
-    def product(t1, t2):
-        key = (t1, t2)
-        cur = prods.get(key)
-        if cur is None:
-            if t1 > 0:
-                cur = product(t1 - 1, t2) * df
-            else:
-                cur = product(0, t2 - 1) * dg
-            prods[key] = cur
-        return cur
-    prods[(0, 0)] = None  # unused sentinel; products start at t1+t2 >= 1
-    prods[(1, 0)] = df
-    prods[(0, 1)] = dg
-
+    pp = _PowerProducts((df, dg), (1, k), W, h.min_weight())
+    gain_f, gain_g = pp.gains
     out = {}
     for (j, m), c in h.coeffs.items():
         w = j + k * m
         _gacc(out, (j, m), c)
-        for t1 in range(j + 1):
-            if t1 and gain_f is None:
-                break
+        for t1 in range(j + 1 if gain_f is not None else 1):
             extra1 = t1 * gain_f if t1 else 0
-            if w + extra1 > N:
+            if w + extra1 > W:
                 break
-            for t2 in range(m + 1):
+            for t2 in range(m + 1 if gain_g is not None else 1):
+                if w + extra1 + (t2 * gain_g if t2 else 0) > W:
+                    break
                 if t1 == 0 and t2 == 0:
                     continue
-                if t2 and gain_g is None:
-                    break
-                extra = extra1 + (t2 * gain_g if t2 else 0)
-                if w + extra > N:
-                    break
                 cb = c * binom(j, t1) * binom(m, t2)
-                P = product(t1, t2)
                 jb, mb = j - t1, m - t2
-                for (pj, pm), pc in P.coeffs.items():
-                    jj, mm = jb + pj, mb + pm
-                    if jj + k * mm <= N:
-                        _gacc(out, (jj, mm), cb * pc)
+                budget = W - (jb + k * mb)
+                for pw, (pj, pm), pc in pp.items((t1, t2)):
+                    if pw > budget:
+                        break
+                    _gacc(out, (jb + pj, mb + pm), cb * pc)
     return HoloSeries(h.k, h.N, out)
 
 
@@ -252,74 +241,89 @@ def _gacc(out, key, val):
         del out[key]
 
 
+class _PowerProducts:
+    """Lazily cached products b1^t1 b2^t2 ... of substitution increments b_i,
+    each standing in for a variable of weight unit_i.
+
+    Every consumer term has weight >= wlow and is wanted through weight W, so
+    the product for (t1, t2, ...) is built only through
+    min(W, W - wlow + t1 unit_1 + t2 unit_2 + ...).  Each base must have min
+    weight > its unit; then a product built from its predecessor is exact
+    through its own bound.
+    """
+
+    def __init__(self, bases, units, W, wlow):
+        self.bases = bases
+        self.units = units
+        self.W = W
+        self.wlow = wlow
+        # weight gained per factor over the variable it replaces; None when
+        # the base is identically zero
+        self.gains = tuple(b.min_weight() - u if b.coeffs else None
+                           for b, u in zip(bases, units))
+        self.cache = {}
+        self.by_weight = {}
+
+    def product(self, t):
+        cur = self.cache.get(t)
+        if cur is None:
+            i = next(i for i, ti in enumerate(t) if ti)
+            prev = t[:i] + (t[i] - 1,) + t[i + 1:]
+            if any(prev):
+                bound = min(self.W, self.W - self.wlow
+                            + sum(a * u for a, u in zip(t, self.units)))
+                cur = mul_upto(self.product(prev), self.bases[i], bound)
+            else:
+                cur = self.bases[i]
+            self.cache[t] = cur
+        return cur
+
+    def items(self, t):
+        """The product's terms as (weight, key, coeff), ascending in weight."""
+        cur = self.by_weight.get(t)
+        if cur is None:
+            P = self.product(t)
+            cur = sorted(((P.weight(key), key, c) for key, c in P.coeffs.items()),
+                         key=lambda e: e[0])
+            self.by_weight[t] = cur
+        return cur
+
+
 # ---------------------------------------------------------------------------
 # graph transform (pushforward)
 
-class _PowerProducts:
-    """Lazily cached products s^t1 q^t2 r^t3 of the substitution increments,
-    with their minimal weights for pruning."""
+def _perturb(D: dict, k: int, pp: _PowerProducts, E: dict):
+    """Subtract D(x + s, y + q, u + r) - D from E, through weight pp.W.
 
-    def __init__(self, s, q, r):
-        self.bases = (s, q, r)
-        self.minw = tuple(b.min_weight() for b in (s, q, r))
-        self.cache = {}
-
-    def min_extra(self, t1, t2, t3, k):
-        # weight gained over the replaced x^t1 y^t2 u^t3 factors; None when
-        # a required base is identically zero
-        total = 0
-        for t, w, unit in ((t1, self.minw[0], 1), (t2, self.minw[1], 1),
-                           (t3, self.minw[2], k)):
-            if t:
-                if w is None:
-                    return None
-                total += t * (w - unit)
-        return total
-
-    def product(self, t1, t2, t3):
-        key = (t1, t2, t3)
-        cur = self.cache.get(key)
-        if cur is None:
-            if t1:
-                cur = self.product(t1 - 1, t2, t3) * self.bases[0]
-            elif t2:
-                cur = self.product(t1, t2 - 1, t3) * self.bases[1]
-            else:
-                cur = self.product(t1, t2, t3 - 1) * self.bases[2]
-            self.cache[key] = cur
-        return cur
-
-    def seed(self):
-        s, q, r = self.bases
-        self.cache[(1, 0, 0)] = s
-        self.cache[(0, 1, 0)] = q
-        self.cache[(0, 0, 1)] = r
-
-
-def _perturb(D: RealSeries, pp: _PowerProducts) -> RealSeries:
-    """D(x + s, y + q, u + r) - D, truncated at D.N."""
-    k, N = D.k, D.N
-    out = {}
-    for (j, l, m), c in D.coeffs.items():
+    D maps the monomials of one weight >= k to their coefficients; E holds
+    series coefficients bucketed by weight.  The perturbation has weight > D's,
+    so it never touches D's own bucket.
+    """
+    N = pp.W
+    g1, g2, g3 = pp.gains
+    for (j, l, m), c in D.items():
         w = j + l + k * m
-        for t1 in range(j + 1):
-            for t2 in range(l + 1):
-                for t3 in range(m + 1):
+        for t1 in range(j + 1 if g1 is not None else 1):
+            e1 = w + (t1 * g1 if t1 else 0)
+            if e1 > N:
+                break
+            for t2 in range(l + 1 if g2 is not None else 1):
+                e2 = e1 + (t2 * g2 if t2 else 0)
+                if e2 > N:
+                    break
+                for t3 in range(m + 1 if g3 is not None else 1):
+                    if e2 + (t3 * g3 if t3 else 0) > N:
+                        break
                     if t1 == 0 and t2 == 0 and t3 == 0:
                         continue
-                    extra = pp.min_extra(t1, t2, t3, k)
-                    if extra is None or w + extra > N:
-                        continue
-                    P = pp.product(t1, t2, t3)
-                    if P.is_zero():
-                        continue
-                    cb = c * binom(j, t1) * binom(l, t2) * binom(m, t3)
+                    cb = -c * binom(j, t1) * binom(l, t2) * binom(m, t3)
                     jb, lb, mb = j - t1, l - t2, m - t3
-                    for (pj, pl, pm), pc in P.coeffs.items():
-                        jj, ll, mm = jb + pj, lb + pl, mb + pm
-                        if jj + ll + k * mm <= N:
-                            _acc_add(out, (jj, ll, mm), cb * pc)
-    return _raw_real(k, N, out)
+                    wb = jb + lb + k * mb
+                    budget = N - wb
+                    for pw, (pj, pl, pm), pc in pp.items((t1, t2, t3)):
+                        if pw > budget:
+                            break
+                        _acc_add(E[wb + pw], (jb + pj, lb + pl, mb + pm), cb * pc)
 
 
 def apply_linear_series(F: RealSeries, L: LinearFactor) -> RealSeries:
@@ -376,18 +380,21 @@ def pushforward_series(F: RealSeries, T: FormalMap) -> RealSeries:
         fre, fim = restrict_to_M(Tt.f, F)
         gre, gim = restrict_to_M(Tt.g, F)
         S = F + gim
-        pp = _PowerProducts(fre, fim, gre)
-        pp.seed()
-        E = S
-        acc = RealSeries.zero(k, N)
+        # every slice fed to _perturb has weight >= k
+        pp = _PowerProducts((fre, fim, gre), (1, 1, k), N, k)
+        E = {mu: {} for mu in range(N + 1)}
+        for key, c in S.coeffs.items():
+            E[S.weight(key)][key] = c
+        acc = {}
         for mu in range(k, N + 1):
-            D = E.weight_part(mu)
-            if D.is_zero():
+            D = E[mu]
+            if not D:
                 continue
-            acc = acc + D
-            E = E - D - _perturb(D, pp)
-        assert E.is_zero(), "graph transform recursion left a residue"
-        G = acc
+            E[mu] = {}
+            acc.update(D)
+            _perturb(D, k, pp, E)
+        assert not any(E.values()), "graph transform recursion left a residue"
+        G = _raw_real(k, N, acc)
     return apply_linear_series(G, Tt.linear)
 
 

@@ -54,5 +54,14 @@ def rand_holo(rng, k, N, nterms=4, min_wt=2, max_wt=None):
     return HoloSeries(k, N, coeffs)
 
 
+def rand_dense_holo(rng, k, N, min_wt, max_wt, density=0.15):
+    """HoloSeries holding each monomial of weight min_wt..max_wt with the
+    given chance, as the dense maps of the benchmark do."""
+    coeffs = {(w - k * m, m): rand_gauss(rng, nonzero=True)
+              for w in range(min_wt, max_wt + 1) for m in range(w // k + 1)
+              if rng.random() < density}
+    return HoloSeries(k, N, coeffs)
+
+
 def seeded(seed):
     return random.Random(seed)

@@ -196,6 +196,36 @@ def pushforward_oracle(Fdict, k, N, fcoeffs, gcoeffs):
     return real_dict(Fstar)
 
 
+def compose_oracle(f1, g1, f2, g2, k, N, lz=CONE, lw=Fraction(1)):
+    """Unipotent parts (f, g) of 'T1 first, then T2' for the maps
+    T1: z -> lz (z + f1), w -> lw (w + g1) and T2: z -> z + f2, w -> w + g2
+    (a linear factor of T2 only multiplies the result and is left out):
+
+        f = f1 + f2(Z, W) / lz,   g = g1 + g2(Z, W) / lw,
+        Z = lz (z + f1),          W = lw (w + g1).
+
+    Maps are dicts (j, m) -> (re, im) for z^j w^m.  The substitution is raw
+    expansion of powers with no truncation; f is cut at weight N - k + 1
+    and g at N only at the end.
+    """
+    hol = lambda h: {(j, 0, m): c for (j, m), c in h.items()}
+    Zs = pscale(padd({(1, 0, 0): CONE}, hol(f1)), lz)
+    Ws = pscale(padd({(0, 0, 1): CONE}, hol(g1)), cnum(lw))
+
+    def subst(h):
+        out = {}
+        for (j, m), c in h.items():
+            out = padd(out, pscale(pmul(ppow(Zs, j), ppow(Ws, m)), c))
+        return out
+
+    n2 = lz[0] * lz[0] + lz[1] * lz[1]
+    lz_inv = (lz[0] / n2, -lz[1] / n2)
+    f = padd(hol(f1), pscale(subst(f2), lz_inv))
+    g = padd(hol(g1), pscale(subst(g2), cnum(1 / Fraction(lw))))
+    back = lambda P, cut: {(j, m): c for (j, _, m), c in ptrunc(P, k, cut).items()}
+    return back(f, N - k + 1), back(g, N)
+
+
 def solve_exact(matrix, rhs):
     """Tiny independent Gaussian elimination over Fraction.
 

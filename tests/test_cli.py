@@ -2,11 +2,13 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import crnf
 from crnf.cli import main
 from crnf.fileformat import parse_series, serialize_series
 from crnf.series import ComplexSeries, RealSeries, to_complex_basis
@@ -360,8 +362,13 @@ class TestBatchAndEnv:
 class TestScriptEntry:
     def test_module_invocation(self, tmp_path):
         path = srs(tmp_path, "f.srs", X4)
+        # the child imports the same crnf as this process, installed or not
+        src = os.path.dirname(os.path.dirname(crnf.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "crnf.cli",
                                "analyze", path],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "tube model: yes" in proc.stdout

@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 
 import oracle
-from conftest import rand_frac, rand_holo, rand_hypersurface_series, rand_real_series, seeded
+from conftest import (
+    rand_dense_holo,
+    rand_frac,
+    rand_gauss,
+    rand_holo,
+    rand_hypersurface_series,
+    rand_real_series,
+    seeded,
+)
 from crnf.errors import StructuralError, TruncationError, UnsupportedTypeError
 from crnf.series import (
     ComplexSeries,
@@ -11,6 +19,7 @@ from crnf.series import (
     HoloSeries,
     RealSeries,
     i_pow,
+    mul_upto,
     rat,
     restrict_to_M,
     scale_w,
@@ -149,10 +158,12 @@ class TestRingLaws:
             for _ in range(10):
                 a = rand_real_series(rng, k, N)
                 b = rand_real_series(rng, k, N)
-                want = oracle.ptrunc(
-                    oracle.pmul(oracle.from_real_series(a), oracle.from_real_series(b)),
-                    k, N)
-                assert oracle.real_dict(want) == (a * b).coeffs
+                full = oracle.pmul(oracle.from_real_series(a), oracle.from_real_series(b))
+                assert oracle.real_dict(oracle.ptrunc(full, k, N)) == (a * b).coeffs
+                # a bound below N drops exactly the monomials above it
+                for W in (k, N - 2):
+                    want = oracle.real_dict(oracle.ptrunc(full, k, W))
+                    assert want == mul_upto(a, b, W).coeffs
 
     def test_truncation_coherence(self):
         rng = seeded(103)
@@ -254,16 +265,30 @@ class TestRestrictToM:
 
     def test_matches_oracle_random(self):
         rng = seeded(107)
+        inputs = []
         for k, N in [(3, 9), (4, 9), (5, 12)]:
             for _ in range(6):
                 h = rand_holo(rng, k, N, nterms=4)
-                F = rand_hypersurface_series(rng, k, N, nterms=4)
-                re, im = restrict_to_M(h, F)
-                want_re, want_im = oracle.restrict_oracle(
-                    {key: (c.re, c.im) for key, c in h.coeffs.items()},
-                    k, oracle.from_real_series(F), N)
-                assert re.coeffs == want_re
-                assert im.coeffs == want_im
+                inputs.append((h, rand_hypersurface_series(rng, k, N, nterms=4)))
+        # non-homogeneous h whose low-m terms have high j: the powers of
+        # u + iF are needed through a bound per m, not one from min weight
+        for k, N, keys in [(3, 9, [(9, 0), (5, 1), (0, 2), (0, 3)]),
+                           (4, 12, [(11, 0), (6, 1), (1, 2), (0, 3)])]:
+            h = HoloSeries(k, N, {key: rand_gauss(rng, nonzero=True) for key in keys})
+            inputs.append((h, rand_hypersurface_series(rng, k, N, nterms=4)))
+        # dense maps, as in the benchmark's map algebra
+        for k, N in [(3, 9), (4, 12)]:
+            inputs.append((rand_dense_holo(rng, k, N, 2, N - k + 1),
+                           rand_hypersurface_series(rng, k, N, nterms=4)))
+            inputs.append((rand_dense_holo(rng, k, N, k + 1, N),
+                           rand_hypersurface_series(rng, k, N, nterms=4)))
+        for h, F in inputs:
+            re, im = restrict_to_M(h, F)
+            want_re, want_im = oracle.restrict_oracle(
+                {key: (c.re, c.im) for key, c in h.coeffs.items()},
+                h.k, oracle.from_real_series(F), h.N)
+            assert re.coeffs == want_re
+            assert im.coeffs == want_im
 
     def test_truncation_respected(self):
         # h.N < F.N: the result is truncated at h.N

@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 
 import oracle
-from conftest import rand_frac, rand_gauss, rand_holo, rand_hypersurface_series, seeded
+from conftest import (
+    rand_dense_holo,
+    rand_frac,
+    rand_gauss,
+    rand_holo,
+    rand_hypersurface_series,
+    seeded,
+)
 from crnf.errors import StructuralError, UnsupportedTypeError
 from crnf.hypersurface import Hypersurface
 from crnf.series import ComplexSeries, GaussRat, HoloSeries, RealSeries, rat, to_real_basis
@@ -116,6 +123,44 @@ class TestComposeInvert:
                           LinearFactor(rat(1, 2), 2))
             assert A.compose(B).compose(C) == A.compose(B.compose(C))
 
+    def test_matches_oracle(self):
+        rng = seeded(313)
+        pairs = lambda h: {key: (c.re, c.im) for key, c in h.coeffs.items()}
+        cases = []
+        for k, N in [(3, 9), (4, 10)]:
+            for _ in range(2):
+                cases.append((rand_unipotent(rng, k, N), rand_unipotent(rng, k, N)))
+        # w-terms (j = 0, m >= 1) in f and g
+        w_terms = lambda: FormalMap.from_parts(
+            3, 9, {(0, 1): rand_gauss(rng, nonzero=True), (1, 1): rand_gauss(rng, nonzero=True),
+                   (0, 2): rand_gauss(rng, nonzero=True)},
+            {(0, 2): rand_gauss(rng, nonzero=True), (1, 1): rand_gauss(rng, nonzero=True),
+             (0, 3): rand_gauss(rng, nonzero=True)})
+        cases.append((w_terms(), w_terms()))
+        # lowest-weight term far below the others: a budget from the min
+        # weight alone, N - min_weight + t1 + k t2, passes N
+        sparse = lambda k, N: FormalMap.from_parts(
+            k, N, {(2, 0): rand_gauss(rng, nonzero=True),
+                   (N - k + 1, 0): rand_gauss(rng, nonzero=True),
+                   (N - 2 * k + 1, 1): rand_gauss(rng, nonzero=True)},
+            {(k + 1, 0): rand_gauss(rng, nonzero=True), (N, 0): rand_gauss(rng, nonzero=True),
+             (N - k, 1): rand_gauss(rng, nonzero=True)})
+        cases.append((sparse(3, 10), sparse(3, 10)))
+        cases.append((sparse(4, 12), rand_unipotent(rng, 4, 12)))
+        # a linear factor on the first map conjugates the second one
+        T1 = rand_unipotent(rng, 3, 9)
+        cases.append((FormalMap(T1.f, T1.g, LinearFactor(rat(-3, 2), 1)),
+                      rand_unipotent(rng, 3, 9)))
+        for T1, T2 in cases:
+            got = T1.compose(T2)
+            lz = T1.linear.z_factor()
+            want_f, want_g = oracle.compose_oracle(
+                pairs(T1.f), pairs(T1.g), pairs(T2.f), pairs(T2.g), T1.k, T1.N,
+                lz=(lz.re, lz.im), lw=T1.linear.w_factor(T1.k))
+            assert pairs(got.f) == want_f
+            assert pairs(got.g) == want_g
+            assert got.linear == T1.linear.compose(T2.linear)
+
     def test_known_composition(self):
         # (z -> z + z^2) then (z -> z + z^2): z + z^2 + (z + z^2)^2
         f = HoloSeries(3, 9, {(2, 0): 1})
@@ -171,16 +216,29 @@ class TestPushforward:
     def test_matches_oracle_random(self):
         rng = seeded(307)
         cases = [(3, 9, 4), (4, 9, 3), (5, 11, 2)]
+        inputs = []
         for k, N, trials in cases:
             for _ in range(trials):
                 F = rand_hypersurface_series(rng, k, N, nterms=3)
-                T = rand_unipotent(rng, k, N, nf=2, ng=1, small=True)
-                got = pushforward_series(F, T)
-                want = oracle.pushforward_oracle(
-                    oracle.from_real_series(F), k, N,
-                    {key: (c.re, c.im) for key, c in T.f.coeffs.items()},
-                    {key: (c.re, c.im) for key, c in T.g.coeffs.items()})
-                assert got.coeffs == want
+                inputs.append((F, rand_unipotent(rng, k, N, nf=2, ng=1, small=True)))
+        # non-homogeneous f and g whose low-m terms have high j
+        gauss = lambda keys: {key: rand_gauss(rng, nonzero=True) for key in keys}
+        for k, N, fkeys, gkeys in [(3, 9, [(7, 0), (2, 1), (0, 2)], [(9, 0), (1, 2)]),
+                                   (4, 10, [(7, 0), (0, 1)], [(10, 0), (2, 2)])]:
+            inputs.append((rand_hypersurface_series(rng, k, N, nterms=3),
+                           FormalMap.from_parts(k, N, gauss(fkeys), gauss(gkeys))))
+        # a dense map, as in the benchmark's map algebra
+        k, N = 3, 9
+        inputs.append((rand_hypersurface_series(rng, k, N, nterms=3),
+                       FormalMap(rand_dense_holo(rng, k, N, 2, N - k + 1),
+                                 rand_dense_holo(rng, k, N, k + 1, N))))
+        for F, T in inputs:
+            got = pushforward_series(F, T)
+            want = oracle.pushforward_oracle(
+                oracle.from_real_series(F), F.k, F.N,
+                {key: (c.re, c.im) for key, c in T.f.coeffs.items()},
+                {key: (c.re, c.im) for key, c in T.g.coeffs.items()})
+            assert got.coeffs == want
 
     def test_functorial_in_composition(self):
         rng = seeded(308)
