@@ -12,6 +12,7 @@ arithmetic is exact (Fractions and Gaussian rationals); results at weight
 from .errors import (
     CrnfError,
     InputError,
+    InternalError,
     NotExactlyRepresentableError,
     NotRigidError,
     NotTransversallyFlatError,

@@ -17,7 +17,8 @@ weight N exceeds it.
 
 Exit codes: 0 the computation succeeded or the checked property holds,
 1 a checked condition fails or the inputs are inequivalent, 2 malformed
-or unsupported input, 3 a square solver system came out singular.
+or unsupported input, 3 a square solver system came out singular, 4 an
+internal self-check of the engine failed (a bug, not bad input).
 """
 
 import argparse
@@ -28,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .equivalence import RadicalReal, tube_equivalent
-from .errors import InputError, SingularSystemError, TruncationError
+from .errors import InputError, InternalError, SingularSystemError, TruncationError
 from .fileformat import (format_rat, parse_map, parse_rat, parse_series,
                          serialize_map, serialize_series)
 from .hypersurface import Hypersurface, detect_tube_model
@@ -410,6 +411,8 @@ def _dispatch(args):
         if args.each:
             try:
                 code, report, lines = handler(path)
+            except InternalError as exc:
+                code, report, lines = 4, {"error": str(exc)}, [f"error: {exc}"]
             except SingularSystemError as exc:
                 code, report, lines = 3, {"error": str(exc)}, [f"error: {exc}"]
             except InputError as exc:
@@ -424,6 +427,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         entries = _dispatch(args)
+    except InternalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except SingularSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

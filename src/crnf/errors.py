@@ -54,3 +54,8 @@ class NotExactlyRepresentableError(InputError):
 
 class SingularSystemError(CrnfError):
     """A per-weight linear system was singular (exit code 3 in the CLI)."""
+
+
+class InternalError(CrnfError):
+    """A postcondition the engine checks on its own result failed: a bug,
+    not bad input (exit code 4 in the CLI)."""

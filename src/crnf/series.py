@@ -5,7 +5,9 @@ hypersurface the series describes.  Every series carries its truncation
 weight N and stores only monomials of weight <= N, sparsely, as a dict
 keyed by exponent tuples.  All coefficients are exact: fractions.Fraction
 for real series, GaussRat (a pair of Fractions) for complex ones.  No
-floats enter any computation.
+floats enter any computation.  Products and the restriction to a graph run
+on Python ints in the integer frame of their inputs (Frame) and convert
+back once.
 
 Monomial keys:
     RealSeries / ComplexSeries: (j, l, m)  for x^j y^l u^m  (or z^j zbar^l u^m)
@@ -18,7 +20,8 @@ so equality of series is plain structural equality of (k, N, coeffs).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb as binom
+from math import comb as binom, lcm
+from operator import itemgetter
 
 from .errors import StructuralError, TruncationError, UnsupportedTypeError
 
@@ -443,14 +446,6 @@ def _raw_holo(k, N, coeffs) -> HoloSeries:
     return s
 
 
-def _add_keys2(p, q):
-    return (p[0] + q[0], p[1] + q[1])
-
-
-def _add_keys3(p, q):
-    return (p[0] + q[0], p[1] + q[1], p[2] + q[2])
-
-
 def mul_upto(a, b, W: int):
     """The product a * b through weight W, which is capped at the truncation N.
 
@@ -459,36 +454,204 @@ def mul_upto(a, b, W: int):
     those monomials dropped; it keeps the truncation tag N.
     """
     a._require_same(b)
-    W = min(W, a.N)
-    x, y = a.coeffs, b.coeffs
+    k, W = a.k, min(W, a.N)
+    fr = Frame(k, a, b)
+    if isinstance(a, RealSeries):
+        return fr.real_out(_mul(fr.real(a, 0), fr.real(b, 0), W, k), 0, a.N)
+    return fr.holo_out(_mul_parts(fr.holo(a, 0), fr.holo(b, 0), W, k), 0, a.N)
+
+
+# ---------------------------------------------------------------------------
+# the integer frame: products and substitutions on Python ints
+#
+# Inside the frame a series is a dict keyed (j, l, m) for x^j y^l u^m, with
+# a holomorphic z^j w^m stored as (j, 0, m); a complex-valued one is a tuple
+# of two such dicts, (re, im).  The kernels below use only +, - and * on the
+# values, so a value that is still a Fraction (see Frame) stays exact.
+
+class Frame:
+    """The dilation z -> D z, w -> D^k w, with D the lcm of the denominators
+    of every coefficient of the given series.
+
+    A series standing for a quantity of weight `unit` enters with each
+    coefficient c on a monomial of weight w replaced by c D^(w - unit), and
+    leaves by the inverse rule.  Where D^(w - unit) does not clear c (w equal
+    to the unit, or below it) the entered value stays a Fraction.  The
+    crnf.transform docstring states which units the kernels use.
+    """
+
+    __slots__ = ("k", "D", "_powers")
+
+    def __init__(self, k: int, *series):
+        dens = set()
+        for s in series:
+            for c in s.coeffs.values():
+                if isinstance(c, GaussRat):
+                    dens.add(c.re.denominator)
+                    dens.add(c.im.denominator)
+                else:
+                    dens.add(c.denominator)
+        self.k = k
+        self.D = lcm(*dens)
+        self._powers = [1]
+
+    def power(self, e: int) -> int:
+        p = self._powers
+        while len(p) <= e:
+            p.append(p[-1] * self.D)
+        return p[e]
+
+    def _enter(self, c: Fraction, e: int):
+        n, d = c.numerator, c.denominator
+        if e >= 0:
+            n *= self.power(e)
+        else:
+            d *= self.power(-e)
+        if d == 1:
+            return n
+        q, r = divmod(n, d)
+        return Fraction(n, d) if r else q
+
+    def _leave(self, c, e: int) -> Fraction:
+        if e >= 0:
+            return Fraction(c, self.power(e))
+        return Fraction(c) * self.power(-e)
+
+    def real(self, s: RealSeries, unit: int) -> dict:
+        k, enter = self.k, self._enter
+        return {key: enter(c, key[0] + key[1] + k * key[2] - unit)
+                for key, c in s.coeffs.items()}
+
+    def holo(self, h: HoloSeries, unit: int):
+        k, enter = self.k, self._enter
+        re, im = {}, {}
+        for (j, m), c in h.coeffs.items():
+            e = j + k * m - unit
+            if c.re:
+                re[(j, 0, m)] = enter(c.re, e)
+            if c.im:
+                im[(j, 0, m)] = enter(c.im, e)
+        return re, im
+
+    def real_out(self, d: dict, unit: int, N: int) -> RealSeries:
+        k, leave = self.k, self._leave
+        return _raw_real(k, N, {key: leave(c, key[0] + key[1] + k * key[2] - unit)
+                                for key, c in d.items()})
+
+    def holo_out(self, h, unit: int, N: int) -> HoloSeries:
+        k, leave = self.k, self._leave
+        re, im = h
+        out = {}
+        for key in sorted(re.keys() | im.keys()):
+            j, _, m = key
+            e = j + k * m - unit
+            out[(j, m)] = GaussRat(leave(re.get(key, 0), e), leave(im.get(key, 0), e))
+        return _raw_holo(k, N, out)
+
+
+def _nonzero(d: dict) -> dict:
+    return {key: c for key, c in d.items() if c}
+
+
+def _min_weight(parts, k: int):
+    """Lowest weight in a tuple of frame dicts, or None if all are empty."""
+    return min((j + l + k * m for d in parts for (j, l, m) in d), default=None)
+
+
+def _terms(d: dict, k: int) -> list:
+    """A frame dict as (weight, j, l, m, c) tuples, ascending in weight."""
+    return sorted(((j + l + k * m, j, l, m, c) for (j, l, m), c in d.items()),
+                  key=itemgetter(0))
+
+
+def _mul_into(out: dict, x: dict, y: dict, W: int, k: int, sign: int = 1):
+    """Add sign * x * y through weight W to out (zeros are left in out)."""
     if len(x) > len(y):
         x, y = y, x
     # the larger factor sorted by weight, so the inner loop stops at the bound
-    weight = a.weight
-    ys = sorted(((weight(key), key, c) for key, c in y.items()),
-                key=lambda t: t[0])
-    if isinstance(a, RealSeries):
-        add, raw = _add_keys3, _raw_real
-    else:
-        add, raw = _add_keys2, _raw_holo
-    out = {}
-    for key1, c1 in x.items():
-        budget = W - weight(key1)
-        for w2, key2, c2 in ys:
+    ys = _terms(y, k)
+    get = out.get
+    for (j1, l1, m1), c1 in x.items():
+        budget = W - (j1 + l1 + k * m1)
+        if sign < 0:
+            c1 = -c1
+        for w2, j2, l2, m2, c2 in ys:
             if w2 > budget:
                 break
-            key = add(key1, key2)
-            v = c1 * c2
-            s = out.get(key)
-            if s is None:
-                out[key] = v
-                continue
-            s = s + v
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return raw(a.k, a.N, out)
+            key = (j1 + j2, l1 + l2, m1 + m2)
+            out[key] = get(key, 0) + c1 * c2
+
+
+def _mul(x: dict, y: dict, W: int, k: int) -> dict:
+    out = {}
+    _mul_into(out, x, y, W, k)
+    return _nonzero(out)
+
+
+def _mul_parts(a: tuple, b: tuple, W: int, k: int) -> tuple:
+    """Product through weight W of two real (re,) or two complex (re, im)
+    frame values."""
+    if len(a) == 1:
+        return (_mul(a[0], b[0], W, k),)
+    (ar, ai), (br, bi) = a, b
+    re, im = {}, {}
+    _mul_into(re, ar, br, W, k)
+    _mul_into(re, ai, bi, W, k, -1)
+    _mul_into(im, ar, bi, W, k)
+    _mul_into(im, ai, br, W, k)
+    return _nonzero(re), _nonzero(im)
+
+
+def _zpow(j: int):
+    """(x + iy)^j as a complex frame value (integer binomial coefficients)."""
+    re, im = {}, {}
+    for t in range(j + 1):
+        r = t & 3
+        (re if r % 2 == 0 else im)[(j - t, t, 0)] = binom(j, t) if r < 2 else -binom(j, t)
+    return re, im
+
+
+def _restrict_frame(h, F: dict, k: int, W: int):
+    """h(x + iy, u + iF) through weight W, in the frame: h is a complex frame
+    value keyed (j, 0, m) and F a real one; returns the pair (Re, Im)."""
+    hr, hi = h
+    by_m = {}
+    for key in sorted(hr.keys() | hi.keys()):
+        j, _, m = key
+        by_m.setdefault(m, []).append((j, hr.get(key, 0), hi.get(key, 0)))
+    if not by_m:
+        return {}, {}
+    top = max(by_m)
+
+    # (u + iF)^m feeds each term z^j' w^m' with m' >= m, which uses it only
+    # through W - j' - wmin (m' - m), where wmin is the lowest weight in u + iF
+    fmin = _min_weight((F,), k)
+    wmin = k if fmin is None else min(k, fmin)
+    need = {}
+    low = None
+    for m in range(top, -1, -1):
+        cands = [j for j, _, _ in by_m.get(m, ())]
+        if low is not None:
+            cands.append(low + wmin)
+        low = min(cands)
+        need[m] = W - low
+
+    wpow = ({(0, 0, 0): 1}, {})  # w^0 = 1
+    w_pair = ({(0, 0, 1): 1}, F)  # u + iF
+    out_re, out_im = {}, {}
+    for m in range(top + 1):
+        if m:
+            wpow = _mul_parts(wpow, w_pair, need[m], k)
+        for j, cr, ci in by_m.get(m, ()):
+            tr, ti = _mul_parts(_zpow(j), wpow, W, k)
+            # add (cr + i ci) * (tr + i ti) to the accumulators
+            for out, part, x in ((out_re, tr, cr), (out_re, ti, -ci),
+                                 (out_im, tr, ci), (out_im, ti, cr)):
+                if x:
+                    get = out.get
+                    for key, v in part.items():
+                        out[key] = get(key, 0) + x * v
+    return _nonzero(out_re), _nonzero(out_im)
 
 
 class ComplexSeries:
@@ -715,35 +878,6 @@ def to_real_basis(f: ComplexSeries) -> RealSeries:
     return _raw_real(f.k, f.N, real)
 
 
-# ---------------------------------------------------------------------------
-# pairs (Re, Im) of real series standing for one complex-valued series in
-# x, y, u; used to restrict holomorphic series to the hypersurface graph
-
-def _pair_mul(a, b, W):
-    ar, ai = a
-    br, bi = b
-    return (mul_upto(ar, br, W) - mul_upto(ai, bi, W),
-            mul_upto(ar, bi, W) + mul_upto(ai, br, W))
-
-
-def _zpow_pair(j: int, k: int, N: int):
-    """(x + iy)^j as a (Re, Im) pair of homogeneous RealSeries of degree j."""
-    re = {}
-    im = {}
-    for t in range(j + 1):
-        c = Fraction(binom(j, t))
-        r = t & 3
-        if r == 0:
-            re[(j - t, t, 0)] = c
-        elif r == 1:
-            im[(j - t, t, 0)] = c
-        elif r == 2:
-            re[(j - t, t, 0)] = -c
-        else:
-            im[(j - t, t, 0)] = -c
-    return (_raw_real(k, N, re), _raw_real(k, N, im))
-
-
 def restrict_to_M(h: HoloSeries, F: RealSeries):
     """Value of h(z, w) on the graph v = F(x, y, u), i.e. h(x+iy, u+iF).
 
@@ -757,44 +891,10 @@ def restrict_to_M(h: HoloSeries, F: RealSeries):
     if h.N > F.N:
         raise StructuralError(f"h.N = {h.N} exceeds F.N = {F.N}")
     k, N = h.k, h.N
-    Ft = F.truncate(N)
-    zero = RealSeries(k, N)
-    if h.is_zero():
-        return zero, zero
-
-    by_m = {}
-    for (j, m), c in h.coeffs.items():
-        by_m.setdefault(m, []).append((j, c))
-    top = max(by_m)
-
-    # (u + iF)^m feeds each term z^j' w^m' with m' >= m, which uses it only
-    # through N - j' - wmin (m' - m), where wmin is the lowest weight in u + iF
-    wmin = min(k, Ft.min_weight()) if Ft.coeffs else k
-    need = {}
-    low = None
-    for m in range(top, -1, -1):
-        cands = [j for j, _ in by_m.get(m, ())]
-        if low is not None:
-            cands.append(low + wmin)
-        low = min(cands)
-        need[m] = N - low
-
-    u_series = RealSeries.monomial(k, N, 0, 0, 1)
-    wpow = (RealSeries.monomial(k, N, 0, 0, 0), zero)  # w^0 = 1
-    w_pair = (u_series, Ft)  # u + iF
-    out_re, out_im = {}, {}
-    for m in range(top + 1):
-        if m:
-            wpow = _pair_mul(wpow, w_pair, need[m])
-        for j, c in by_m.get(m, ()):
-            tr, ti = _pair_mul(_zpow_pair(j, k, N), wpow, N)
-            # add c * (tr + i ti) to the accumulators
-            for out, part, x in ((out_re, tr, c.re), (out_re, ti, -c.im),
-                                 (out_im, tr, c.im), (out_im, ti, c.re)):
-                if x:
-                    for key, v in part.coeffs.items():
-                        _acc_add(out, key, x * v)
-    return _raw_real(k, N, out_re), _raw_real(k, N, out_im)
+    # h stands for no particular weight (unit 0); v = F has the weight of u
+    fr = Frame(k, h, F)
+    re, im = _restrict_frame(fr.holo(h, 0), fr.real(F, k), k, N)
+    return fr.real_out(re, 0, N), fr.real_out(im, 0, N)
 
 
 # ---------------------------------------------------------------------------

@@ -19,25 +19,56 @@ weight W, is kept through W - w + v, capped at W (itself at most N).  For
 the power products of one substitution, w is the lowest weight among the
 consumer terms (the min weight of the substituted series for compose and
 inverse, k for the slices of the graph transform), and W is N - k + 1 for
-the f part of a map and N otherwise.  Nothing above a budget can reach a
-kept coefficient, so the results are the same as with products through N.
+the f part of a map (and for Re f|M, Im f|M in the graph transform) and N
+otherwise.  Nothing above a budget can reach a kept coefficient, so the
+results are the same as with products through N.
+
+Integer frame: the graph transform, compose and inverse run on Python ints.
+Each conjugates its inputs by the dilation z -> D z, w -> D^k w, where D is
+the lcm of the denominators of every input coefficient (crnf.series.Frame).
+A coefficient c on a monomial of weight w becomes c D^(w - unit), where the
+unit is the weight of what the series stands for:
+
+    series                        unit   lowest w   w - unit
+    graph F, image G                k       k          >= 0
+    g, psi, Re g|M, Im g|M          k       k + 1      >= 1
+    f, phi, Re f|M, Im f|M          1       2          >= 1
+
+(phi and psi are the iterates of inverse).  The conjugate of z + f, w + g is
+z + D^-1 f(D z, D^k w), w + D^-k g(D z, D^k w), and every identity the
+kernels evaluate (h(z + f, w + g), h(x + iy, u + iF), and the graph
+equation below) is homogeneous in these units, so the kernels run unchanged
+on the conjugated data.  Where w - unit >= 1 the entry c D^(w - unit) is an
+integer, because the denominator of c divides D; then every product,
+binomial and sum is an integer operation, and each result coefficient leaves
+the frame once, as Fraction(n, D^(w - unit)).  No dilation clears the
+weight-k coefficients of the graph (w - unit = 0).  On the graphs the t-,
+rigid- and nt-normalizers work on they are x^k = 1; a fractional model
+(normal coordinates, or a raw file given to apply) keeps them as
+Fractions.  The kernels use only +, - and * on values, so such an entry
+stays a Fraction, the values it touches become Fractions, and the result
+is exact on the same code path.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb as binom
 
-from .errors import StructuralError, UnsupportedTypeError
+from .errors import InternalError, StructuralError, UnsupportedTypeError
 from .hypersurface import Hypersurface
 from .series import (
     G_ONE,
+    Frame,
     GaussRat,
     HoloSeries,
     RealSeries,
     _acc_add,
+    _min_weight,
+    _mul_parts,
+    _nonzero,
     _raw_real,
-    mul_upto,
-    restrict_to_M,
+    _restrict_frame,
+    _terms,
 )
 
 
@@ -137,22 +168,31 @@ class FormalMap:
         # f'(z,w) = lz^-1 f2(lz z, lw w), g'(z,w) = lw^-1 g2(lz z, lw w)
         f2 = _scale_args(other.f, lz, lw, lz_power_shift=-1, lw_power_shift=0)
         g2 = _scale_args(other.g, lz, lw, lz_power_shift=0, lw_power_shift=-1)
+        k, N = self.k, self.N
+        fr = Frame(k, self.f, self.g, f2, g2)
+        f1, g1 = fr.holo(self.f, 1), fr.holo(self.g, k)
         # f is kept only through N - k + 1 (see the module docstring)
-        f_comp = self.f + _shift_args(f2, self.f, self.g, self.N - self.k + 1)
-        g_comp = self.g + _shift_args(g2, self.f, self.g, self.N)
-        return FormalMap(f_comp, g_comp, self.linear.compose(other.linear))
+        f_comp = _shift_args(fr.holo(f2, 1), f1, g1, k, N - k + 1)
+        g_comp = _shift_args(fr.holo(g2, k), f1, g1, k, N)
+        return FormalMap(fr.holo_out(_add_parts(f1, f_comp), 1, N),
+                         fr.holo_out(_add_parts(g1, g_comp), k, N),
+                         self.linear.compose(other.linear))
 
     def inverse(self) -> "FormalMap":
         """Exact inverse as a FormalMap at the same truncation."""
         k, N = self.k, self.N
-        zero = HoloSeries.zero(k, N)
+        fr = Frame(k, self.f, self.g)
+        # phi = -f(z + phi, w + psi), psi = -g(z + phi, w + psi)
+        f, g = fr.holo(-self.f, 1), fr.holo(-self.g, k)
+        zero = ({}, {})
         phi, psi = zero, zero
         for _ in range(N):
-            phi2 = -_shift_args(self.f, phi, psi, N - k + 1)
-            psi2 = -_shift_args(self.g, phi, psi, N)
+            phi2 = _shift_args(f, phi, psi, k, N - k + 1)
+            psi2 = _shift_args(g, phi, psi, k, N)
             if phi2 == phi and psi2 == psi:
                 break
             phi, psi = phi2, psi2
+        phi, psi = fr.holo_out(phi, 1, N), fr.holo_out(psi, k, N)
         linv = self.linear.inverse()
         lz = linv.z_factor()
         lw = linv.w_factor(k)
@@ -160,8 +200,8 @@ class FormalMap:
         fi = _scale_args(phi, lz, lw, lz_power_shift=-1, lw_power_shift=0)
         gi = _scale_args(psi, lz, lw, lz_power_shift=0, lw_power_shift=-1)
         inv = FormalMap(fi, gi, linv)
-        check = self.compose(inv)
-        assert check.is_identity(), "map inversion failed"
+        if not self.compose(inv).is_identity():
+            raise InternalError("map inversion failed")
         return inv
 
     def __eq__(self, other):
@@ -194,56 +234,62 @@ def _scale_args(h: HoloSeries, lz: GaussRat, lw: Fraction, lz_power_shift: int,
     return HoloSeries(h.k, h.N, out)
 
 
-def _shift_args(h: HoloSeries, df: HoloSeries, dg: HoloSeries, W: int) -> HoloSeries:
-    """h(z + df, w + dg) through weight W <= h.N, with the tag h.N.
+def _add_parts(a: tuple, b: tuple) -> tuple:
+    out = tuple(dict(p) for p in a)
+    for o, p in zip(out, b):
+        for key, c in p.items():
+            _acc_add(o, key, c)
+    return out
 
-    df and dg must have min weights >= 2 and >= k+1 respectively so every
-    substituted factor strictly raises the weight.
+
+def _shift_args(h: tuple, df: tuple, dg: tuple, k: int, W: int) -> tuple:
+    """h(z + df, w + dg) through weight W, on complex frame values.
+
+    h's own terms are kept whatever their weight.  df and dg must have min
+    weights >= 2 and >= k+1 respectively so every substituted factor strictly
+    raises the weight.
     """
-    k = h.k
-    if h.is_zero() or (df.is_zero() and dg.is_zero()):
-        return h
-    pp = _PowerProducts((df, dg), (1, k), W, h.min_weight())
+    hr, hi = h
+    out_r, out_i = dict(hr), dict(hi)
+    wlow = _min_weight(h, k)
+    if wlow is None or not (any(df) or any(dg)):
+        return out_r, out_i
+    pp = _PowerProducts((df, dg), (1, k), W, wlow, k)
     gain_f, gain_g = pp.gains
-    out = {}
-    for (j, m), c in h.coeffs.items():
-        w = j + k * m
-        _gacc(out, (j, m), c)
-        for t1 in range(j + 1 if gain_f is not None else 1):
-            extra1 = t1 * gain_f if t1 else 0
-            if w + extra1 > W:
-                break
-            for t2 in range(m + 1 if gain_g is not None else 1):
-                if w + extra1 + (t2 * gain_g if t2 else 0) > W:
+    # a real coefficient c of h adds c P to the result, an imaginary one i c
+    # adds i c P: routes (part of P, target, sign) for each
+    for part, routes in ((hr, ((0, out_r, 1), (1, out_i, 1))),
+                         (hi, ((0, out_i, 1), (1, out_r, -1)))):
+        for (j, _, m), c in part.items():
+            w = j + k * m
+            for t1 in range(j + 1 if gain_f is not None else 1):
+                extra1 = t1 * gain_f if t1 else 0
+                if w + extra1 > W:
                     break
-                if t1 == 0 and t2 == 0:
-                    continue
-                cb = c * binom(j, t1) * binom(m, t2)
-                jb, mb = j - t1, m - t2
-                budget = W - (jb + k * mb)
-                for pw, (pj, pm), pc in pp.items((t1, t2)):
-                    if pw > budget:
+                for t2 in range(m + 1 if gain_g is not None else 1):
+                    if w + extra1 + (t2 * gain_g if t2 else 0) > W:
                         break
-                    _gacc(out, (jb + pj, mb + pm), cb * pc)
-    return HoloSeries(h.k, h.N, out)
-
-
-def _gacc(out, key, val):
-    s = out.get(key)
-    if s is None:
-        if val:
-            out[key] = val
-        return
-    s = s + val
-    if s:
-        out[key] = s
-    else:
-        del out[key]
+                    if t1 == 0 and t2 == 0:
+                        continue
+                    cb = c * binom(j, t1) * binom(m, t2)
+                    jb, mb = j - t1, m - t2
+                    budget = W - (jb + k * mb)
+                    terms = pp.items((t1, t2))
+                    for p, out, sign in routes:
+                        cs = cb if sign > 0 else -cb
+                        get = out.get
+                        for pw, pj, _, pm, pc in terms[p]:
+                            if pw > budget:
+                                break
+                            key = (jb + pj, 0, mb + pm)
+                            out[key] = get(key, 0) + cs * pc
+    return _nonzero(out_r), _nonzero(out_i)
 
 
 class _PowerProducts:
     """Lazily cached products b1^t1 b2^t2 ... of substitution increments b_i,
-    each standing in for a variable of weight unit_i.
+    each standing in for a variable of weight unit_i.  The bases are frame
+    values: (re,) for a real increment, (re, im) for a complex one.
 
     Every consumer term has weight >= wlow and is wanted through weight W, so
     the product for (t1, t2, ...) is built only through
@@ -252,14 +298,15 @@ class _PowerProducts:
     through its own bound.
     """
 
-    def __init__(self, bases, units, W, wlow):
+    def __init__(self, bases, units, W, wlow, k):
         self.bases = bases
         self.units = units
         self.W = W
         self.wlow = wlow
+        self.k = k
         # weight gained per factor over the variable it replaces; None when
         # the base is identically zero
-        self.gains = tuple(b.min_weight() - u if b.coeffs else None
+        self.gains = tuple(None if (w := _min_weight(b, k)) is None else w - u
                            for b, u in zip(bases, units))
         self.cache = {}
         self.by_weight = {}
@@ -272,19 +319,17 @@ class _PowerProducts:
             if any(prev):
                 bound = min(self.W, self.W - self.wlow
                             + sum(a * u for a, u in zip(t, self.units)))
-                cur = mul_upto(self.product(prev), self.bases[i], bound)
+                cur = _mul_parts(self.product(prev), self.bases[i], bound, self.k)
             else:
                 cur = self.bases[i]
             self.cache[t] = cur
         return cur
 
     def items(self, t):
-        """The product's terms as (weight, key, coeff), ascending in weight."""
+        """The product's parts, each as (weight, j, l, m, c) ascending in weight."""
         cur = self.by_weight.get(t)
         if cur is None:
-            P = self.product(t)
-            cur = sorted(((P.weight(key), key, c) for key, c in P.coeffs.items()),
-                         key=lambda e: e[0])
+            cur = tuple(_terms(p, self.k) for p in self.product(t))
             self.by_weight[t] = cur
         return cur
 
@@ -292,11 +337,11 @@ class _PowerProducts:
 # ---------------------------------------------------------------------------
 # graph transform (pushforward)
 
-def _perturb(D: dict, k: int, pp: _PowerProducts, E: dict):
+def _perturb(D: dict, k: int, pp: _PowerProducts, E: list):
     """Subtract D(x + s, y + q, u + r) - D from E, through weight pp.W.
 
-    D maps the monomials of one weight >= k to their coefficients; E holds
-    series coefficients bucketed by weight.  The perturbation has weight > D's,
+    D maps the frame monomials of one weight >= k to their values; E[w] holds
+    the frame coefficients of weight w.  The perturbation has weight > D's,
     so it never touches D's own bucket.
     """
     N = pp.W
@@ -320,10 +365,13 @@ def _perturb(D: dict, k: int, pp: _PowerProducts, E: dict):
                     jb, lb, mb = j - t1, l - t2, m - t3
                     wb = jb + lb + k * mb
                     budget = N - wb
-                    for pw, (pj, pl, pm), pc in pp.items((t1, t2, t3)):
+                    (terms,) = pp.items((t1, t2, t3))
+                    for pw, pj, pl, pm, pc in terms:
                         if pw > budget:
                             break
-                        _acc_add(E[wb + pw], (jb + pj, lb + pl, mb + pm), cb * pc)
+                        bucket = E[wb + pw]
+                        key = (jb + pj, lb + pl, mb + pm)
+                        bucket[key] = bucket.get(key, 0) + cb * pc
 
 
 def apply_linear_series(F: RealSeries, L: LinearFactor) -> RealSeries:
@@ -377,24 +425,33 @@ def pushforward_series(F: RealSeries, T: FormalMap) -> RealSeries:
 
     G = F
     if not (Tt.f.is_zero() and Tt.g.is_zero()):
-        fre, fim = restrict_to_M(Tt.f, F)
-        gre, gim = restrict_to_M(Tt.g, F)
-        S = F + gim
+        if F.coeffs and F.min_weight() < k:
+            raise StructuralError(
+                f"graph has a monomial of weight {F.min_weight()} < k = {k}")
+        fr = Frame(k, F, Tt.f, Tt.g)
+        Fx = fr.real(F, k)
+        # Re/Im f|M replace x and y in slices of weight >= k, so only their
+        # weights <= N - k + 1 can reach the image
+        fre, fim = _restrict_frame(fr.holo(Tt.f, 1), Fx, k, N - k + 1)
+        gre, gim = _restrict_frame(fr.holo(Tt.g, k), Fx, k, N)
         # every slice fed to _perturb has weight >= k
-        pp = _PowerProducts((fre, fim, gre), (1, 1, k), N, k)
-        E = {mu: {} for mu in range(N + 1)}
-        for key, c in S.coeffs.items():
-            E[S.weight(key)][key] = c
+        pp = _PowerProducts(((fre,), (fim,), (gre,)), (1, 1, k), N, k, k)
+        E = [{} for _ in range(N + 1)]
+        for S in (Fx, gim):
+            for (j, l, m), c in S.items():
+                bucket = E[j + l + k * m]
+                bucket[(j, l, m)] = bucket.get((j, l, m), 0) + c
         acc = {}
         for mu in range(k, N + 1):
-            D = E[mu]
+            D = _nonzero(E[mu])
+            E[mu] = {}
             if not D:
                 continue
-            E[mu] = {}
             acc.update(D)
             _perturb(D, k, pp, E)
-        assert not any(E.values()), "graph transform recursion left a residue"
-        G = _raw_real(k, N, acc)
+        if any(c for bucket in E for c in bucket.values()):
+            raise InternalError("graph transform recursion left a residue")
+        G = fr.real_out(acc, k, N)
     return apply_linear_series(G, Tt.linear)
 
 

@@ -358,6 +358,19 @@ class TestBatchAndEnv:
         rc, _, err = run(capsys, ["tnormal", srs(tmp_path, "f.srs", X4)])
         assert rc == 3 and "forced" in err
 
+    def test_internal_error_maps_to_4(self, tmp_path, monkeypatch, capsys):
+        from crnf.errors import InternalError
+
+        def boom(H, targets=None):
+            raise InternalError("forced")
+
+        monkeypatch.setattr("crnf.cli.t_normalize", boom)
+        path = srs(tmp_path, "f.srs", X4)
+        rc, _, err = run(capsys, ["tnormal", path])
+        assert rc == 4 and "forced" in err
+        rc, out, _ = run(capsys, ["tnormal", "--each", path, path])
+        assert rc == 4 and out.count("error: forced") == 2
+
 
 class TestScriptEntry:
     def test_module_invocation(self, tmp_path):

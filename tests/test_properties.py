@@ -1,0 +1,59 @@
+"""Property tests of the map algebra on rational coefficients whose
+denominators reach 10^6 (the seeded tests draw denominators up to 4).
+
+The runs are derandomized and bounded: the same examples every time."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crnf.series import GaussRat, HoloSeries, RealSeries
+from crnf.transform import FormalMap, LinearFactor, pushforward_series
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40,
+                    database=None)
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=10**6)
+nonzero = rationals.filter(bool)
+gauss = st.tuples(rationals, rationals).map(lambda p: GaussRat(*p)).filter(bool)
+type_and_weight = st.sampled_from([3, 4]).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(2 * k, 10)))
+
+
+def holo_terms(k, lo, hi):
+    keys = [(w - k * m, m) for w in range(lo, hi + 1) for m in range(w // k + 1)]
+    return st.dictionaries(st.sampled_from(keys), gauss, max_size=3)
+
+
+@st.composite
+def maps(draw, k, N):
+    f = draw(holo_terms(k, 2, N - k + 1))
+    g = draw(holo_terms(k, k + 1, N))
+    linear = draw(st.one_of(st.just(LinearFactor()),
+                            st.builds(LinearFactor, nonzero, st.integers(0, 3))))
+    return FormalMap(HoloSeries(k, N, f), HoloSeries(k, N, g), linear)
+
+
+@st.composite
+def graphs(draw, k, N):
+    keys = [(j, w - k * m - j, m) for w in range(k + 1, N + 1)
+            for m in range(w // k + 1) for j in range(w - k * m + 1)]
+    tail = draw(st.dictionaries(st.sampled_from(keys), nonzero, max_size=4))
+    return RealSeries(k, N, {(k, 0, 0): 1, **tail})
+
+
+@PROPERTY
+@given(st.data())
+def test_inverse_round_trip(data):
+    k, N = data.draw(type_and_weight)
+    T = data.draw(maps(k, N))
+    assert T.compose(T.inverse()).is_identity()
+
+
+@PROPERTY
+@given(st.data())
+def test_pushforward_is_functorial(data):
+    k, N = data.draw(type_and_weight)
+    F = data.draw(graphs(k, N))
+    T1, T2 = data.draw(maps(k, N)), data.draw(maps(k, N))
+    step = pushforward_series(pushforward_series(F, T1), T2)
+    assert step == pushforward_series(F, T1.compose(T2))

@@ -9,6 +9,7 @@ from conftest import (
     rand_gauss,
     rand_holo,
     rand_hypersurface_series,
+    rand_tail,
     seeded,
 )
 from crnf.errors import StructuralError, UnsupportedTypeError
@@ -151,6 +152,11 @@ class TestComposeInvert:
         T1 = rand_unipotent(rng, 3, 9)
         cases.append((FormalMap(T1.f, T1.g, LinearFactor(rat(-3, 2), 1)),
                       rand_unipotent(rng, 3, 9)))
+        # a dilation 7/11 and a large prime denominator: D is not smooth
+        T1 = rand_unipotent(rng, 4, 10)
+        T2 = rand_unipotent(rng, 4, 10)
+        cases.append((FormalMap(T1.f + HoloSeries.monomial(4, 10, 3, 0, GaussRat(rat(1, 10007), 2)),
+                                T1.g, LinearFactor(rat(7, 11), 3)), T2))
         for T1, T2 in cases:
             got = T1.compose(T2)
             lz = T1.linear.z_factor()
@@ -232,6 +238,16 @@ class TestPushforward:
         inputs.append((rand_hypersurface_series(rng, k, N, nterms=3),
                        FormalMap(rand_dense_holo(rng, k, N, 2, N - k + 1),
                                  rand_dense_holo(rng, k, N, k + 1, N))))
+        # large prime denominators (1/10007 in the tail, 1/9973 in the map)
+        k, N = 3, 9
+        F = rand_hypersurface_series(rng, k, N, nterms=3) + RealSeries.monomial(
+            k, N, 2, 1, 1, rat(1, 10007))
+        T = rand_unipotent(rng, k, N, nf=2, ng=1, small=True)
+        inputs.append((F, FormalMap(T.f + HoloSeries.monomial(k, N, 2, 0, GaussRat(1, rat(1, 9973))),
+                                    T.g)))
+        # a fractional weight-k part, which no dilation clears
+        F = RealSeries(k, N, {(3, 0, 0): rat(1, 2), (0, 0, 1): rat(1, 3)}) + rand_tail(rng, k, N, 3)
+        inputs.append((F, rand_unipotent(rng, k, N, nf=2, ng=1, small=True)))
         for F, T in inputs:
             got = pushforward_series(F, T)
             want = oracle.pushforward_oracle(
