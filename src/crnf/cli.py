@@ -129,11 +129,6 @@ def _value_json(v):
     return format_rat(v)
 
 
-def _holo_records(part, k):
-    keys = sorted(part.coeffs, key=lambda t: (t[0] + k * t[1],) + t)
-    return [(j, m, part.coeffs[(j, m)]) for (j, m) in keys]
-
-
 def _map_report(T):
     lin = None
     if not T.linear.is_identity():
@@ -142,7 +137,7 @@ def _map_report(T):
     for name, part in (("f", T.f), ("g", T.g)):
         parts[name] = [{"j": j, "m": m,
                         "re": format_rat(c.re), "im": format_rat(c.im)}
-                       for (j, m, c) in _holo_records(part, T.k)]
+                       for (j, m), c in part.sorted_items()]
     return {"linear": lin, "f": parts["f"], "g": parts["g"]}
 
 
@@ -152,10 +147,9 @@ def _map_lines(T):
     else:
         lines = [f"linear: delta={format_rat(T.linear.delta)} rot={T.linear.rot}"]
     for name, part in (("f", T.f), ("g", T.g)):
-        recs = _holo_records(part, T.k)
-        if not recs:
+        if part.is_zero():
             lines.append(f"{name}: none")
-        for (j, m, c) in recs:
+        for (j, m), c in part.sorted_items():
             lines.append(f"{name}: {j} {m} {format_rat(c.re)} {format_rat(c.im)}")
     return lines
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (
+    InternalError,
     NotRigidError,
     StructuralError,
     TruncationError,
@@ -152,9 +153,11 @@ def _tube_normal_form(u, k, N):
         img = pushforward_series(S, T)
         u = {}
         for (j, l, m), v in img.coeffs.items():
-            assert l == 0 and m == 0, "shift left the tube family"
+            if l or m:
+                raise InternalError("shift left the tube family")
             u[j] = v
-        assert 2 * k - 1 not in u, "shift missed its target"
+        if 2 * k - 1 in u:
+            raise InternalError("shift missed its target")
     return {j: v for j, v in u.items() if j > k}, h
 
 
@@ -268,8 +271,8 @@ def tube_equivalent(F: RealSeries, G: RealSeries):
         a = delta
         b = (delta * h1 - delta ** k * h2) / c1
         c = c2 * delta ** k / c1
-        assert _witness_holds(uF, uG, a, b, c, N), \
-            "matched dilation fails the substitution identity"
+        if not _witness_holds(uF, uG, a, b, c, N):
+            raise InternalError("matched dilation fails the substitution identity")
     else:
         a = delta
         dk = delta.pow_int(k)

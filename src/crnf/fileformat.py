@@ -72,11 +72,8 @@ def serialize_series(S) -> str:
         basis = "zzu"
     else:
         raise StructuralError(f"not a series: {S!r}")
-    k = S.k
-    out = [f"k={k} N={S.N} basis={basis}"]
-    for key in sorted(S.coeffs, key=lambda t: (t[0] + t[1] + k * t[2],) + t):
-        j, l, m = key
-        c = S.coeffs[key]
+    out = [f"k={S.k} N={S.N} basis={basis}"]
+    for (j, l, m), c in S.sorted_items():
         if basis == "xyu":
             out.append(f"{j} {l} {m} {format_rat(c)}")
         else:
@@ -117,15 +114,12 @@ def parse_series(text: str):
 
 
 def serialize_map(T: FormalMap) -> str:
-    k = T.k
-    out = [f"map k={k} N={T.N}"]
+    out = [f"map k={T.k} N={T.N}"]
     if not T.linear.is_identity():
         out.append(f"linear delta={format_rat(T.linear.delta)} rot={T.linear.rot}")
     for name, part in (("f", T.f), ("g", T.g)):
         out.append(name)
-        for key in sorted(part.coeffs, key=lambda t: (t[0] + k * t[1],) + t):
-            j, m = key
-            c = part.coeffs[key]
+        for (j, m), c in part.sorted_items():
             out.append(f"{j} {m} {format_rat(c.re)} {format_rat(c.im)}")
     return "\n".join(out) + "\n"
 

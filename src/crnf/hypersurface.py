@@ -19,6 +19,7 @@ from functools import reduce
 from math import comb as binom, gcd
 
 from .errors import (
+    InternalError,
     NotExactlyRepresentableError,
     NotTubeModelError,
     StructuralError,
@@ -27,6 +28,7 @@ from .series import (
     ComplexSeries,
     GaussRat,
     RealSeries,
+    scale_w,
     shift_u,
     to_complex_basis,
     to_real_basis,
@@ -203,7 +205,8 @@ def detect_tube_model(leading: ComplexSeries) -> ModelInfo:
             if alpha_pow is not None:
                 # lambda = a_1 alpha^(k-2) / C(k,1), real by the ratio relations
                 lam_g = a[1].times_i_power(alpha_pow * (k - 2)) / Fraction(k)
-                assert lam_g.is_real() and lam_g.re != 0
+                if not lam_g.is_real() or lam_g.re == 0:
+                    raise InternalError(f"tube scale {lam_g} is not a nonzero real")
                 lam = lam_g.re
     return ModelInfo(k=k, e=e, L=L, is_tube=is_tube, rho=rho,
                      alpha_pow=alpha_pow, lam=lam)
@@ -258,8 +261,7 @@ def prenormalize_tube(F: RealSeries):
     # step 2: w-scaling making the mixed part 2^-k C(k,j); negative scale
     # allowed for even k (odd k was fixed by the alpha flip above)
     w_scale = Fraction(1, 2 ** k) / lam
-    if w_scale != 1:
-        C = C.map_coeffs(lambda key, c: c * w_scale ** (1 - key[2]))
+    C = scale_w(C, w_scale)
 
     G = to_real_basis(C)
 
@@ -281,6 +283,7 @@ def prenormalize_tube(F: RealSeries):
         G = shift_u(G, -re_s) + im_s
 
     H = Hypersurface.validate(G, k)
-    assert essential_type(H.leading_complex()) == 1
+    if essential_type(H.leading_complex()) != 1:
+        raise InternalError("prenormalization left a model of essential type != 1")
     record = PrenormalizationRecord(rot=rot, w_scale=w_scale, harmonic=c_h)
     return H, record

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import (
+    InternalError,
     NotRigidError,
     NotTransversallyFlatError,
     SingularSystemError,
@@ -381,6 +382,13 @@ def _solve(H, mode, targets):
     return NormalizationResult(Hcur, T, tuple(report))
 
 
+def _verified(res: NormalizationResult, kind: NormalFormKind) -> NormalizationResult:
+    """res, once its normal form is checked to meet every condition of kind."""
+    if check(res.H_normal, kind):
+        raise InternalError("solver left a violated condition")
+    return res
+
+
 def t_normalize(H: Hypersurface, targets=None) -> NormalizationResult:
     """The unique map (f, g) with no linear part taking H into the form
     where all x^0, x^1, x^(k-1), x^k coefficient families vanish along with
@@ -396,12 +404,8 @@ def t_normalize(H: Hypersurface, targets=None) -> NormalizationResult:
     else:
         kind = NormalFormKind.t_normal()
     if H.tail().is_zero() and (targets is None or targets == (0, 0)):
-        res = NormalizationResult(H, FormalMap.identity(H.k, H.N),
-                                  tuple((mu, 0, 0) for mu in ()))
-        return res
-    res = _solve(H, "t", targets)
-    assert not check(res.H_normal, kind), "solver left a violated condition"
-    return res
+        return NormalizationResult(H, FormalMap.identity(H.k, H.N), ())
+    return _verified(_solve(H, "t", targets), kind)
 
 
 def rigid_normalize(H: Hypersurface) -> NormalizationResult:
@@ -412,9 +416,9 @@ def rigid_normalize(H: Hypersurface) -> NormalizationResult:
     if H.F.depends_on_u():
         raise NotRigidError("input depends on u")
     res = _solve(H, "rigid", None)
-    assert not res.H_normal.F.depends_on_u()
-    assert not check(res.H_normal, NormalFormKind.rigid_t())
-    return res
+    if res.H_normal.F.depends_on_u():
+        raise InternalError("rigid solver left a u-dependent graph")
+    return _verified(res, NormalFormKind.rigid_t())
 
 
 def nt_normalize(H: Hypersurface) -> NormalizationResult:
@@ -426,6 +430,6 @@ def nt_normalize(H: Hypersurface) -> NormalizationResult:
     if H.F.depends_on_y():
         raise NotTransversallyFlatError("input depends on y")
     res = _solve(H, "nt", None)
-    assert not res.H_normal.F.depends_on_y()
-    assert not check(res.H_normal, NormalFormKind.nontransversal())
-    return res
+    if res.H_normal.F.depends_on_y():
+        raise InternalError("nt solver left a y-dependent graph")
+    return _verified(res, NormalFormKind.nontransversal())

@@ -3,15 +3,25 @@
 Weights: wt(x) = wt(y) = 1 and wt(u) = k, where k >= 3 is the type of the
 hypersurface the series describes.  Every series carries its truncation
 weight N and stores only monomials of weight <= N, sparsely, as a dict
-keyed by exponent tuples.  All coefficients are exact: fractions.Fraction
-for real series, GaussRat (a pair of Fractions) for complex ones.  No
-floats enter any computation.  Products and the restriction to a graph run
-on Python ints in the integer frame of their inputs (Frame) and convert
-back once.
+keyed by exponent tuples.  No floats enter any computation.
 
-Monomial keys:
+One immutable core type holds the sparse data and everything that does not
+depend on the coefficient ring: validation, sums, scaling, weight parts,
+truncation and the canonical order (weight, then key).  The last exponent
+of a key is that of u (or w) and every other has weight 1, so
+
+    weight(key) = sum(key) + (k - 1) key[-1]
+
+covers both key shapes:
     RealSeries / ComplexSeries: (j, l, m)  for x^j y^l u^m  (or z^j zbar^l u^m)
     HoloSeries:                 (j, m)     for z^j w^m
+
+A subclass fixes the coefficient ring: fractions.Fraction for RealSeries,
+GaussRat (a pair of Fractions) for HoloSeries and ComplexSeries.  Beyond
+that, RealSeries and HoloSeries add a product (mul_upto), RealSeries the
+tests depends_on_u / depends_on_y, and ComplexSeries the reality test
+is_real.  Products and the restriction to a graph run on Python ints in the
+integer frame of their inputs (Frame) and convert back once.
 
 Zero coefficients are dropped on construction and after every operation,
 so equality of series is plain structural equality of (k, N, coeffs).
@@ -20,6 +30,7 @@ so equality of series is plain structural equality of (k, N, coeffs).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb as binom, lcm
 from operator import itemgetter
 
@@ -155,95 +166,157 @@ def _check_kn(k, N):
         raise TruncationError(f"truncation weight N must be >= 2k = {2*k}, got {N}")
 
 
-class RealSeries:
-    """Truncated series with Fraction coefficients on x^j y^l u^m monomials."""
+def _weights(keys, k: int) -> list:
+    """The weight of each exponent key, in order.  The last exponent of a key
+    is that of u (or w), of weight k, and every other has weight 1, so
+    weight(key) = sum(key) + (k - 1) key[-1]."""
+    k1 = k - 1
+    return [sum(key) + k1 * key[-1] for key in keys]
+
+
+class _Series:
+    """Immutable truncated series over one coefficient ring.
+
+    coeffs maps exponent keys to nonzero coefficients, weighted by
+    _weights.  A subclass fixes the key length (_arity) and the ring:
+    _coerce turns a value into a coefficient and _zero is the ring's zero.
+    """
 
     __slots__ = ("k", "N", "coeffs")
+    _arity = 3
 
     def __init__(self, k: int, N: int, coeffs=None):
         _check_kn(k, N)
         clean = {}
         if coeffs:
-            for (j, l, m), c in coeffs.items():
-                if j < 0 or l < 0 or m < 0:
-                    raise StructuralError(f"negative exponent in monomial {(j, l, m)}")
-                w = j + l + k * m
+            arity, coerce = self._arity, self._coerce
+            for (key, c), w in zip(coeffs.items(), _weights(coeffs, k)):
+                if len(key) != arity:
+                    raise StructuralError(f"monomial {key} needs {arity} exponents")
+                if min(key) < 0:
+                    raise StructuralError(f"negative exponent in monomial {key}")
                 if w > N:
-                    raise StructuralError(
-                        f"monomial {(j, l, m)} has weight {w} > N = {N}")
-                c = Fraction(c)
+                    raise StructuralError(f"monomial {key} has weight {w} > N = {N}")
+                c = coerce(c)
                 if c:
-                    clean[(j, l, m)] = c
+                    clean[key] = c
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "coeffs", clean)
 
+    @classmethod
+    def _raw(cls, k, N, coeffs):
+        # internal constructor: coeffs already canonical (no zeros, valid weights)
+        s = object.__new__(cls)
+        object.__setattr__(s, "k", k)
+        object.__setattr__(s, "N", N)
+        object.__setattr__(s, "coeffs", coeffs)
+        return s
+
     def __setattr__(self, name, value):
-        raise AttributeError("RealSeries is immutable; build a new one")
+        raise AttributeError(f"{type(self).__name__} is immutable; build a new one")
 
     @classmethod
     def zero(cls, k, N):
         return cls(k, N)
 
-    @classmethod
-    def monomial(cls, k, N, j, l, m, c=1):
-        return cls(k, N, {(j, l, m): Fraction(c)})
-
     def _require_same(self, other):
-        if not isinstance(other, RealSeries):
-            raise StructuralError(f"expected RealSeries, got {type(other).__name__}")
+        if type(other) is not type(self):
+            raise StructuralError(
+                f"expected {type(self).__name__}, got {type(other).__name__}")
         if self.k != other.k or self.N != other.N:
             raise StructuralError(
                 f"mismatched series: k={self.k},N={self.N} vs k={other.k},N={other.N}")
 
     def weight(self, key) -> int:
-        j, l, m = key
-        return j + l + self.k * m
+        return _weights((key,), self.k)[0]
 
-    def coeff(self, j, l, m) -> Fraction:
-        return self.coeffs.get((j, l, m), RAT_ZERO)
+    def coeff(self, *key):
+        return self.coeffs.get(key, self._zero)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def min_weight(self):
         """Smallest weight with a nonzero coefficient, or None if zero."""
-        if not self.coeffs:
-            return None
-        k = self.k
-        return min(j + l + k * m for (j, l, m) in self.coeffs)
+        return min(_weights(self.coeffs, self.k), default=None)
 
     def __add__(self, other):
         self._require_same(other)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            s = out.get(key, RAT_ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _raw_real(self.k, self.N, out)
+            _acc_add(out, key, c)
+        return self._raw(self.k, self.N, out)
 
     def __sub__(self, other):
         self._require_same(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key, RAT_ZERO) - c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _raw_real(self.k, self.N, out)
+        return self + -other
 
     def __neg__(self):
-        return _raw_real(self.k, self.N, {key: -c for key, c in self.coeffs.items()})
+        return self._raw(self.k, self.N, {key: -c for key, c in self.coeffs.items()})
 
-    def scale(self, c) -> "RealSeries":
-        c = Fraction(c)
+    def scale(self, c):
+        c = self._coerce(c)
         if not c:
-            return RealSeries(self.k, self.N)
-        return _raw_real(self.k, self.N,
-                         {key: c * v for key, v in self.coeffs.items()})
+            return self.zero(self.k, self.N)
+        return self._raw(self.k, self.N, {key: c * v for key, v in self.coeffs.items()})
+
+    def map_coeffs(self, fn):
+        """New series with coefficient fn(key, c) at each key; zeros dropped."""
+        out = {}
+        for key, c in self.coeffs.items():
+            v = fn(key, c)
+            if v:
+                out[key] = v
+        return self._raw(self.k, self.N, out)
+
+    def _where(self, keep, N: int):
+        """The terms whose weight passes keep, tagged with truncation N."""
+        items = zip(self.coeffs.items(), _weights(self.coeffs, self.k))
+        return self._raw(self.k, N, {key: c for (key, c), w in items if keep(w)})
+
+    def weight_part(self, mu: int):
+        return self._where(mu.__eq__, self.N)
+
+    def drop_above(self, w: int):
+        """Drop monomials of weight > w but keep the truncation tag N."""
+        return self._where(w.__ge__, self.N)
+
+    def truncate(self, N2: int):
+        if N2 > self.N:
+            raise StructuralError(f"cannot raise truncation {self.N} -> {N2}")
+        if N2 == self.N:
+            return self
+        _check_kn(self.k, N2)
+        return self._where(N2.__ge__, N2)
+
+    def sorted_items(self):
+        """The (key, coefficient) pairs in canonical order: by weight, then key."""
+        order = sorted(zip(_weights(self.coeffs, self.k), self.coeffs))
+        return [(key, self.coeffs[key]) for _, key in order]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.k == other.k and self.N == other.N
+                and self.coeffs == other.coeffs)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}(k={self.k}, N={self.N}, {len(self.coeffs)} terms)"
+
+
+class RealSeries(_Series):
+    """Truncated series with Fraction coefficients on x^j y^l u^m monomials."""
+
+    __slots__ = ()
+    _coerce = staticmethod(Fraction)
+    _zero = RAT_ZERO
+
+    @classmethod
+    def monomial(cls, k, N, j, l, m, c=1):
+        return cls(k, N, {(j, l, m): c})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -252,143 +325,24 @@ class RealSeries:
 
     __rmul__ = __mul__
 
-    def weight_part(self, mu: int) -> "RealSeries":
-        k = self.k
-        return _raw_real(k, self.N,
-                         {key: c for key, c in self.coeffs.items()
-                          if key[0] + key[1] + k * key[2] == mu})
-
-    def truncate(self, N2: int) -> "RealSeries":
-        if N2 > self.N:
-            raise StructuralError(f"cannot raise truncation {self.N} -> {N2}")
-        if N2 == self.N:
-            return self
-        _check_kn(self.k, N2)
-        k = self.k
-        return _raw_real(k, N2,
-                         {key: c for key, c in self.coeffs.items()
-                          if key[0] + key[1] + k * key[2] <= N2})
-
     def depends_on_u(self) -> bool:
         return any(m for (_, _, m) in self.coeffs)
 
     def depends_on_y(self) -> bool:
         return any(l for (_, l, _) in self.coeffs)
 
-    def sorted_items(self):
-        k = self.k
-        return sorted(self.coeffs.items(),
-                      key=lambda kv: (kv[0][0] + kv[0][1] + k * kv[0][2],) + kv[0])
 
-    def __eq__(self, other):
-        if not isinstance(other, RealSeries):
-            return NotImplemented
-        return (self.k == other.k and self.N == other.N
-                and self.coeffs == other.coeffs)
-
-    __hash__ = None
-
-    def __repr__(self):
-        n = len(self.coeffs)
-        return f"RealSeries(k={self.k}, N={self.N}, {n} terms)"
-
-
-def _raw_real(k, N, coeffs) -> RealSeries:
-    # internal constructor: coeffs already canonical (no zeros, valid weights)
-    s = object.__new__(RealSeries)
-    object.__setattr__(s, "k", k)
-    object.__setattr__(s, "N", N)
-    object.__setattr__(s, "coeffs", coeffs)
-    return s
-
-
-class HoloSeries:
+class HoloSeries(_Series):
     """Truncated holomorphic series with GaussRat coefficients on z^j w^m."""
 
-    __slots__ = ("k", "N", "coeffs")
-
-    def __init__(self, k: int, N: int, coeffs=None):
-        _check_kn(k, N)
-        clean = {}
-        if coeffs:
-            for (j, m), c in coeffs.items():
-                if j < 0 or m < 0:
-                    raise StructuralError(f"negative exponent in monomial {(j, m)}")
-                w = j + k * m
-                if w > N:
-                    raise StructuralError(f"monomial {(j, m)} has weight {w} > N = {N}")
-                c = GaussRat.of(c)
-                if c:
-                    clean[(j, m)] = c
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HoloSeries is immutable; build a new one")
-
-    @classmethod
-    def zero(cls, k, N):
-        return cls(k, N)
+    __slots__ = ()
+    _arity = 2
+    _coerce = staticmethod(GaussRat.of)
+    _zero = G_ZERO
 
     @classmethod
     def monomial(cls, k, N, j, m, c=1):
-        return cls(k, N, {(j, m): GaussRat.of(c)})
-
-    def _require_same(self, other):
-        if not isinstance(other, HoloSeries):
-            raise StructuralError(f"expected HoloSeries, got {type(other).__name__}")
-        if self.k != other.k or self.N != other.N:
-            raise StructuralError(
-                f"mismatched series: k={self.k},N={self.N} vs k={other.k},N={other.N}")
-
-    def weight(self, key) -> int:
-        j, m = key
-        return j + self.k * m
-
-    def coeff(self, j, m) -> GaussRat:
-        return self.coeffs.get((j, m), G_ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def min_weight(self):
-        if not self.coeffs:
-            return None
-        k = self.k
-        return min(j + k * m for (j, m) in self.coeffs)
-
-    def __add__(self, other):
-        self._require_same(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key, G_ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _raw_holo(self.k, self.N, out)
-
-    def __sub__(self, other):
-        self._require_same(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key, G_ZERO) - c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _raw_holo(self.k, self.N, out)
-
-    def __neg__(self):
-        return _raw_holo(self.k, self.N, {key: -c for key, c in self.coeffs.items()})
-
-    def scale(self, c) -> "HoloSeries":
-        c = GaussRat.of(c)
-        if not c:
-            return HoloSeries(self.k, self.N)
-        return _raw_holo(self.k, self.N,
-                         {key: c * v for key, v in self.coeffs.items()})
+        return cls(k, N, {(j, m): c})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
@@ -397,53 +351,21 @@ class HoloSeries:
 
     __rmul__ = __mul__
 
-    def weight_part(self, mu: int) -> "HoloSeries":
-        k = self.k
-        return _raw_holo(k, self.N,
-                         {key: c for key, c in self.coeffs.items()
-                          if key[0] + k * key[1] == mu})
 
-    def truncate(self, N2: int) -> "HoloSeries":
-        if N2 > self.N:
-            raise StructuralError(f"cannot raise truncation {self.N} -> {N2}")
-        if N2 == self.N:
-            return self
-        _check_kn(self.k, N2)
-        k = self.k
-        return _raw_holo(k, N2,
-                         {key: c for key, c in self.coeffs.items()
-                          if key[0] + k * key[1] <= N2})
+class ComplexSeries(_Series):
+    """Real series written in the z, zbar basis: coefficients c_{jlm} on
+    z^j zbar^l u^m.  Reality of the underlying series is the symmetry
+    c_{jlm} = conj(c_{ljm}); is_real() checks it."""
 
-    def drop_above(self, w: int) -> "HoloSeries":
-        """Drop monomials of weight > w but keep the truncation tag N."""
-        k = self.k
-        return _raw_holo(k, self.N,
-                         {key: c for key, c in self.coeffs.items()
-                          if key[0] + k * key[1] <= w})
+    __slots__ = ()
+    _coerce = staticmethod(GaussRat.of)
+    _zero = G_ZERO
 
-    def sorted_items(self):
-        k = self.k
-        return sorted(self.coeffs.items(),
-                      key=lambda kv: (kv[0][0] + k * kv[0][1],) + kv[0])
-
-    def __eq__(self, other):
-        if not isinstance(other, HoloSeries):
-            return NotImplemented
-        return (self.k == other.k and self.N == other.N
-                and self.coeffs == other.coeffs)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"HoloSeries(k={self.k}, N={self.N}, {len(self.coeffs)} terms)"
-
-
-def _raw_holo(k, N, coeffs) -> HoloSeries:
-    s = object.__new__(HoloSeries)
-    object.__setattr__(s, "k", k)
-    object.__setattr__(s, "N", N)
-    object.__setattr__(s, "coeffs", coeffs)
-    return s
+    def is_real(self) -> bool:
+        for (j, l, m), c in self.coeffs.items():
+            if self.coeffs.get((l, j, m), G_ZERO) != c.conj():
+                return False
+        return True
 
 
 def mul_upto(a, b, W: int):
@@ -535,7 +457,7 @@ class Frame:
 
     def real_out(self, d: dict, unit: int, N: int) -> RealSeries:
         k, leave = self.k, self._leave
-        return _raw_real(k, N, {key: leave(c, key[0] + key[1] + k * key[2] - unit)
+        return RealSeries._raw(k, N, {key: leave(c, key[0] + key[1] + k * key[2] - unit)
                                 for key, c in d.items()})
 
     def holo_out(self, h, unit: int, N: int) -> HoloSeries:
@@ -546,7 +468,7 @@ class Frame:
             j, _, m = key
             e = j + k * m - unit
             out[(j, m)] = GaussRat(leave(re.get(key, 0), e), leave(im.get(key, 0), e))
-        return _raw_holo(k, N, out)
+        return HoloSeries._raw(k, N, out)
 
 
 def _nonzero(d: dict) -> dict:
@@ -654,228 +576,61 @@ def _restrict_frame(h, F: dict, k: int, W: int):
     return _nonzero(out_re), _nonzero(out_im)
 
 
-class ComplexSeries:
-    """Real series written in the z, zbar basis: coefficients c_{jlm} on
-    z^j zbar^l u^m.  Reality of the underlying series is the symmetry
-    c_{jlm} = conj(c_{ljm}); is_real() checks it."""
-
-    __slots__ = ("k", "N", "coeffs")
-
-    def __init__(self, k: int, N: int, coeffs=None):
-        _check_kn(k, N)
-        clean = {}
-        if coeffs:
-            for (j, l, m), c in coeffs.items():
-                if j < 0 or l < 0 or m < 0:
-                    raise StructuralError(f"negative exponent in monomial {(j, l, m)}")
-                w = j + l + k * m
-                if w > N:
-                    raise StructuralError(f"monomial {(j, l, m)} has weight {w} > N = {N}")
-                c = GaussRat.of(c)
-                if c:
-                    clean[(j, l, m)] = c
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexSeries is immutable; build a new one")
-
-    @classmethod
-    def zero(cls, k, N):
-        return cls(k, N)
-
-    def coeff(self, j, l, m) -> GaussRat:
-        return self.coeffs.get((j, l, m), G_ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_real(self) -> bool:
-        for (j, l, m), c in self.coeffs.items():
-            if self.coeffs.get((l, j, m), G_ZERO) != c.conj():
-                return False
-        return True
-
-    def weight_part(self, mu: int) -> "ComplexSeries":
-        k = self.k
-        return _raw_cplx(k, self.N,
-                         {key: c for key, c in self.coeffs.items()
-                          if key[0] + key[1] + k * key[2] == mu})
-
-    def min_weight(self):
-        if not self.coeffs:
-            return None
-        k = self.k
-        return min(j + l + k * m for (j, l, m) in self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, ComplexSeries) or self.k != other.k or self.N != other.N:
-            raise StructuralError("mismatched ComplexSeries")
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key, G_ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _raw_cplx(self.k, self.N, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, ComplexSeries) or self.k != other.k or self.N != other.N:
-            raise StructuralError("mismatched ComplexSeries")
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key, G_ZERO) - c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _raw_cplx(self.k, self.N, out)
-
-    def map_coeffs(self, fn) -> "ComplexSeries":
-        """New series with coefficient fn(key, c) at each key; zeros dropped."""
-        out = {}
-        for key, c in self.coeffs.items():
-            v = fn(key, c)
-            if v:
-                out[key] = v
-        return _raw_cplx(self.k, self.N, out)
-
-    def truncate(self, N2: int) -> "ComplexSeries":
-        if N2 > self.N:
-            raise StructuralError(f"cannot raise truncation {self.N} -> {N2}")
-        if N2 == self.N:
-            return self
-        _check_kn(self.k, N2)
-        k = self.k
-        return _raw_cplx(k, N2,
-                         {key: c for key, c in self.coeffs.items()
-                          if key[0] + key[1] + k * key[2] <= N2})
-
-    def sorted_items(self):
-        k = self.k
-        return sorted(self.coeffs.items(),
-                      key=lambda kv: (kv[0][0] + kv[0][1] + k * kv[0][2],) + kv[0])
-
-    def __eq__(self, other):
-        if not isinstance(other, ComplexSeries):
-            return NotImplemented
-        return (self.k == other.k and self.N == other.N
-                and self.coeffs == other.coeffs)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"ComplexSeries(k={self.k}, N={self.N}, {len(self.coeffs)} terms)"
-
-
-def _raw_cplx(k, N, coeffs) -> ComplexSeries:
-    s = object.__new__(ComplexSeries)
-    object.__setattr__(s, "k", k)
-    object.__setattr__(s, "N", N)
-    object.__setattr__(s, "coeffs", coeffs)
-    return s
-
-
 # ---------------------------------------------------------------------------
 # basis conversions
 #
 # x = (z + zbar)/2,  y = (z - zbar)/(2i)      and inversely
 # z = x + iy,        zbar = x - iy.
 # Both substitutions are weight preserving, so conversion is exact and
-# needs no re-truncation.
+# needs no re-truncation.  Each is a pair (p, q) of linear forms p0 A + p1 B
+# and q0 A + q1 B in the target variables A, B, standing for the first and
+# the second source variable.
 
-_XY_TO_Z_CACHE = {}
+_HALF = GaussRat(Fraction(1, 2))
+_HALF_I = GaussRat(0, Fraction(1, 2))
+_XY_IN_Z = ((_HALF, _HALF), (-_HALF_I, _HALF_I))
+_Z_IN_XY = ((G_ONE, G_I), (G_ONE, -G_I))
 
 
-def _xy_monomial_in_z(j: int, l: int):
-    """Expansion of x^j y^l over z^s zbar^t monomials: dict (s,t) -> GaussRat."""
-    key = (j, l)
-    hit = _XY_TO_Z_CACHE.get(key)
-    if hit is not None:
-        return hit
+@lru_cache(maxsize=None)
+def _expansion(p, q, j: int, l: int):
+    """(p0 A + p1 B)^j (q0 A + q1 B)^l over A^a B^b: dict (a, b) -> GaussRat."""
     out = {}
-    # x^j = 2^-j sum_s C(j,s) z^s zbar^(j-s)
-    # y^l = (2i)^-l sum_t C(l,t) z^t (-1)^(l-t) zbar^(l-t)
-    base = Fraction(1, 2 ** (j + l))
-    ifac = i_pow(-l % 4)  # (1/i)^l = i^(-l)
     for s in range(j + 1):
-        cj = binom(j, s)
+        cs = binom(j, s) * p[0] ** s * p[1] ** (j - s)
         for t in range(l + 1):
-            c = base * cj * binom(l, t) * (-1) ** (l - t)
-            g = ifac * c
-            zkey = (s + t, j - s + l - t)
-            prev = out.get(zkey, G_ZERO) + g
-            if prev:
-                out[zkey] = prev
-            else:
-                out.pop(zkey, None)
-    _XY_TO_Z_CACHE[key] = out
+            _acc_add(out, (s + t, j - s + l - t),
+                     cs * binom(l, t) * q[0] ** t * q[1] ** (l - t))
     return out
 
 
-_Z_TO_XY_CACHE = {}
-
-
-def _z_monomial_in_xy(j: int, l: int):
-    """Expansion of z^j zbar^l over x^a y^b monomials: dict (a,b) -> GaussRat."""
-    key = (j, l)
-    hit = _Z_TO_XY_CACHE.get(key)
-    if hit is not None:
-        return hit
+def _convert(f, sub) -> dict:
+    """The coefficients of f after the substitution sub of its first two
+    variables; the u exponent is kept."""
     out = {}
-    # z^j = sum_s C(j,s) x^(j-s) (iy)^s ; zbar^l = sum_t C(l,t) x^(l-t) (-iy)^t
-    for s in range(j + 1):
-        cs = binom(j, s)
-        for t in range(l + 1):
-            # i^s * (-i)^t = i^(s-t) since (-i) = i^(-1)
-            g = i_pow((s - t) % 4) * Fraction(cs * binom(l, t))
-            xkey = (j - s + l - t, s + t)
-            prev = out.get(xkey, G_ZERO) + g
-            if prev:
-                out[xkey] = prev
-            else:
-                out.pop(xkey, None)
-    _Z_TO_XY_CACHE[key] = out
+    for (j, l, m), c in f.coeffs.items():
+        for (a, b), g in _expansion(*sub, j, l).items():
+            _acc_add(out, (a, b, m), g * c)
     return out
 
 
 def to_complex_basis(f: RealSeries) -> ComplexSeries:
     """Rewrite a real series over x^j y^l u^m in the z, zbar, u basis."""
-    out = {}
-    for (j, l, m), c in f.coeffs.items():
-        for (s, t), g in _xy_monomial_in_z(j, l).items():
-            key = (s, t, m)
-            v = out.get(key, G_ZERO) + g * c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return _raw_cplx(f.k, f.N, out)
+    return ComplexSeries._raw(f.k, f.N, _convert(f, _XY_IN_Z))
 
 
 def to_real_basis(f: ComplexSeries) -> RealSeries:
     """Rewrite a complex-basis series over x, y, u.  The input must satisfy
     the reality symmetry c_{jlm} = conj(c_{ljm}); otherwise the substitution
     z = x + iy leaves imaginary parts and a StructuralError is raised."""
-    out = {}
-    for (j, l, m), c in f.coeffs.items():
-        for (a, b), g in _z_monomial_in_xy(j, l).items():
-            key = (a, b, m)
-            v = out.get(key, G_ZERO) + g * c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
     real = {}
-    for key, v in out.items():
+    for key, v in _convert(f, _Z_IN_XY).items():
         if v.im != 0:
             raise StructuralError(
                 f"series is not real: monomial x^{key[0]} y^{key[1]} u^{key[2]} "
                 f"has imaginary coefficient {v.im}")
         real[key] = v.re
-    return _raw_real(f.k, f.N, real)
+    return RealSeries._raw(f.k, f.N, real)
 
 
 def restrict_to_M(h: HoloSeries, F: RealSeries):
@@ -937,7 +692,7 @@ def shift_u(F: RealSeries, P: RealSeries) -> RealSeries:
                 jj, ll, mm = j + pj, l + pl, m - t + pm
                 if jj + ll + k * mm <= N:
                     _acc_add(out, (jj, ll, mm), cb * pc)
-    return _raw_real(k, N, out)
+    return RealSeries._raw(k, N, out)
 
 
 def _acc_add(out, key, val):
@@ -953,13 +708,12 @@ def _acc_add(out, key, val):
         del out[key]
 
 
-def scale_w(F: RealSeries, c) -> RealSeries:
+def scale_w(F, c):
     """Coefficient transform of v = F under w -> c*w (c real, nonzero):
-    the image hypersurface is v = c^(1-m) applied per u-degree m."""
+    the image hypersurface is v = c^(1-m) applied per u-degree m.  F may be
+    a RealSeries, ComplexSeries or HoloSeries; m is the last exponent of
+    each key."""
     c = Fraction(c)
     if not c:
         raise StructuralError("w-scaling must be nonzero")
-    out = {}
-    for (j, l, m), v in F.coeffs.items():
-        out[(j, l, m)] = c ** (1 - m) * v
-    return _raw_real(F.k, F.N, out)
+    return F.map_coeffs(lambda key, v: c ** (1 - key[-1]) * v)

@@ -57,7 +57,6 @@ from math import comb as binom
 from .errors import InternalError, StructuralError, UnsupportedTypeError
 from .hypersurface import Hypersurface
 from .series import (
-    G_ONE,
     Frame,
     GaussRat,
     HoloSeries,
@@ -66,7 +65,6 @@ from .series import (
     _min_weight,
     _mul_parts,
     _nonzero,
-    _raw_real,
     _restrict_frame,
     _terms,
 )
@@ -102,20 +100,10 @@ class LinearFactor:
         return LinearFactor(1 / self.delta, -self.rot)
 
 
-def _check_f_keys(f: HoloSeries):
-    k = f.k
-    for (j, m) in f.coeffs:
-        if j + k * m < 2:
-            raise StructuralError(
-                f"f must have weight >= 2; found z^{j} w^{m}")
-
-
-def _check_g_keys(g: HoloSeries):
-    k = g.k
-    for (j, m) in g.coeffs:
-        if j + k * m < k + 1:
-            raise StructuralError(
-                f"g must have weight >= k + 1 = {k + 1}; found z^{j} w^{m}")
+def _check_keys(name: str, h: HoloSeries, low: int):
+    mw = h.min_weight()
+    if mw is not None and mw < low:
+        raise StructuralError(f"{name} must have weight >= {low}; found weight {mw}")
 
 
 class FormalMap:
@@ -127,8 +115,8 @@ class FormalMap:
         if f.k != g.k or f.N != g.N:
             raise StructuralError("f and g must share k and N")
         k, N = f.k, f.N
-        _check_f_keys(f)
-        _check_g_keys(g)
+        _check_keys("f", f, 2)
+        _check_keys("g", g, k + 1)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "f", f.drop_above(N - k + 1))
@@ -162,12 +150,10 @@ class FormalMap:
         """The map 'self first, then other' in the same factored form."""
         if self.k != other.k or self.N != other.N:
             raise StructuralError("cannot compose maps with different k or N")
-        lz = self.linear.z_factor()
-        lw = self.linear.w_factor(self.k)
         # conjugate other's unipotent part back through self's linear factor:
         # f'(z,w) = lz^-1 f2(lz z, lw w), g'(z,w) = lw^-1 g2(lz z, lw w)
-        f2 = _scale_args(other.f, lz, lw, lz_power_shift=-1, lw_power_shift=0)
-        g2 = _scale_args(other.g, lz, lw, lz_power_shift=0, lw_power_shift=-1)
+        f2 = _scale_args(other.f, self.linear, -1, 0)
+        g2 = _scale_args(other.g, self.linear, 0, -1)
         k, N = self.k, self.N
         fr = Frame(k, self.f, self.g, f2, g2)
         f1, g1 = fr.holo(self.f, 1), fr.holo(self.g, k)
@@ -194,11 +180,9 @@ class FormalMap:
             phi, psi = phi2, psi2
         phi, psi = fr.holo_out(phi, 1, N), fr.holo_out(psi, k, N)
         linv = self.linear.inverse()
-        lz = linv.z_factor()
-        lw = linv.w_factor(k)
         # T^-1 = L^-1 o (L o U^-1 o L^-1): conjugate U^-1 forward through L
-        fi = _scale_args(phi, lz, lw, lz_power_shift=-1, lw_power_shift=0)
-        gi = _scale_args(psi, lz, lw, lz_power_shift=0, lw_power_shift=-1)
+        fi = _scale_args(phi, linv, -1, 0)
+        gi = _scale_args(psi, linv, 0, -1)
         inv = FormalMap(fi, gi, linv)
         if not self.compose(inv).is_identity():
             raise InternalError("map inversion failed")
@@ -217,21 +201,15 @@ class FormalMap:
                 f"|g|={len(self.g.coeffs)}, linear={self.linear})")
 
 
-def _scale_args(h: HoloSeries, lz: GaussRat, lw: Fraction, lz_power_shift: int,
-                lw_power_shift: int) -> HoloSeries:
-    """Coefficients h_{jm} -> lz^(j+s1) lw^(m+s2) h_{jm}."""
-    if h.is_zero():
+def _scale_args(h: HoloSeries, L: LinearFactor, s1: int, s2: int) -> HoloSeries:
+    """Coefficients h_{jm} -> lz^(j+s1) lw^(m+s2) h_{jm}, where lz = delta i^rot
+    and lw = delta^k are L's factors: delta^(j+s1+k(m+s2)) times a quarter
+    turn i^(rot (j+s1))."""
+    if L.is_identity():
         return h
-    out = {}
-    lz_inv = G_ONE / lz
-    lw_f = Fraction(lw)
-    for (j, m), c in h.coeffs.items():
-        p1 = j + lz_power_shift
-        zf = lz ** p1 if p1 >= 0 else lz_inv ** (-p1)
-        p2 = m + lw_power_shift
-        wf = lw_f ** p2
-        out[(j, m)] = c * zf * wf
-    return HoloSeries(h.k, h.N, out)
+    k, d, rot = h.k, L.delta, L.rot
+    return h.map_coeffs(lambda key, c: (c * d ** (key[0] + s1 + k * (key[1] + s2)))
+                        .times_i_power(rot * (key[0] + s1)))
 
 
 def _add_parts(a: tuple, b: tuple) -> tuple:
@@ -401,7 +379,7 @@ def apply_linear_series(F: RealSeries, L: LinearFactor) -> RealSeries:
             if j % 2:
                 v = -v
         _acc_add(out, key, v)
-    return _raw_real(k, F.N, out)
+    return RealSeries._raw(k, F.N, out)
 
 
 def pushforward_series(F: RealSeries, T: FormalMap) -> RealSeries:

@@ -10,7 +10,12 @@ from crnf.equivalence import (
     rigid_equivalence_reduce,
     tube_equivalent,
 )
-from crnf.errors import NotRigidError, StructuralError, UnsupportedTypeError
+from crnf.errors import (
+    InternalError,
+    NotRigidError,
+    StructuralError,
+    UnsupportedTypeError,
+)
 from crnf.hypersurface import Hypersurface
 from crnf.series import RealSeries
 from crnf.transform import LinearFactor, apply_linear_series
@@ -162,6 +167,14 @@ class TestTubeEquivalent:
                 assert w is not None
                 if w.b is not None:
                     verify_witness(F, G, w)
+
+    def test_failed_substitution_raises(self, monkeypatch):
+        # a rational witness that fails the substitution identity is an
+        # internal error, also under python -O
+        monkeypatch.setattr("crnf.equivalence._witness_holds", lambda *args: False)
+        F = tube(4, 12, {4: 1, 6: 1})
+        with pytest.raises(InternalError):
+            tube_equivalent(F, F)
 
     def test_inconsistent_ratios(self):
         F = tube(4, 12, {4: 1, 6: 1, 9: 1})

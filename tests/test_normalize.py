@@ -6,6 +6,7 @@ import pytest
 import oracle
 from conftest import rand_frac, rand_holo, seeded
 from crnf.errors import (
+    InternalError,
     NotRigidError,
     NotTransversallyFlatError,
     StructuralError,
@@ -14,6 +15,7 @@ from crnf.errors import (
 from crnf.hypersurface import Hypersurface
 from crnf.normalize import (
     NormalFormKind,
+    Violation,
     check,
     nt_normalize,
     rigid_normalize,
@@ -312,6 +314,14 @@ class TestTNormalize:
         res = t_normalize(H)
         assert res.H_normal == H
         assert res.T.is_identity()
+
+    def test_violated_postcondition_raises(self, monkeypatch):
+        # a solved form that fails its own check is an internal error, also
+        # under python -O
+        monkeypatch.setattr("crnf.normalize.check",
+                            lambda H, kind: [Violation("x^k", (3, 0, 0), Q(1))])
+        with pytest.raises(InternalError):
+            t_normalize(H_of({(3, 1, 0): 1}, 3, 9))
 
     def test_model_short_circuits(self):
         H = H_of({}, 4, 8)

@@ -1,11 +1,16 @@
-"""Property tests of the map algebra on rational coefficients whose
-denominators reach 10^6 (the seeded tests draw denominators up to 4).
+"""Property tests of the map algebra and of tube equivalence on rational
+coefficients whose denominators reach 10^6 (the seeded tests draw
+denominators up to 4).
 
 The runs are derandomized and bounded: the same examples every time."""
+
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+from crnf.equivalence import tube_equivalent
 from crnf.series import GaussRat, HoloSeries, RealSeries
 from crnf.transform import FormalMap, LinearFactor, pushforward_series
 
@@ -57,3 +62,26 @@ def test_pushforward_is_functorial(data):
     T1, T2 = data.draw(maps(k, N)), data.draw(maps(k, N))
     step = pushforward_series(pushforward_series(F, T1), T2)
     assert step == pushforward_series(F, T1.compose(T2))
+
+
+@PROPERTY
+@given(st.data())
+def test_planted_tube_witness_is_sound(data):
+    k, N = data.draw(type_and_weight)
+    tail = data.draw(st.dictionaries(st.integers(k + 1, N), nonzero, max_size=4))
+    uF = {k: Fraction(1), **tail}
+    a, b, c = data.draw(nonzero), data.draw(rationals), data.draw(nonzero)
+    # plant G = c F o (ax - bF)^-1, so that G(ax - bF(x)) = cF(x)
+    P = {1: a}
+    for j, v in uF.items():
+        P[j] = P.get(j, Fraction(0)) - b * v
+    Pinv = oracle.univariate_inverse(P, N)
+    uG = {j: c * v for j, v in oracle.ucompose_trunc(uF, Pinv, N).items()}
+    w = tube_equivalent(RealSeries(k, N, {(j, 0, 0): v for j, v in uF.items()}),
+                        RealSeries(k, N, {(j, 0, 0): v for j, v in uG.items()}))
+    assert w is not None and w.b is not None
+    # the witness, substituted by the oracle
+    inner = {1: w.a}
+    for j, v in uF.items():
+        inner[j] = inner.get(j, Fraction(0)) - w.b * v
+    assert oracle.ucompose_trunc(uG, inner, N) == {j: w.c * v for j, v in uF.items()}

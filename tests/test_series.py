@@ -101,6 +101,12 @@ class TestRealSeriesBasics:
             a + b
         with pytest.raises(StructuralError):
             a * RealSeries(4, 9)
+        # the class is part of the type: same k and N do not make operands
+        with pytest.raises(StructuralError):
+            a + HoloSeries(3, 9, {(3, 0): 1})
+        with pytest.raises(StructuralError):
+            ComplexSeries(3, 9, {(3, 0, 0): 1}) - a
+        assert a != ComplexSeries(3, 9, {(3, 0, 0): 1})
 
     def test_known_product(self):
         x = RealSeries.monomial(3, 6, 1, 0, 0)
@@ -222,6 +228,12 @@ class TestBasisConversion:
                 c = to_complex_basis(f)
                 assert c.is_real()
                 assert to_real_basis(c) == f
+                # both substitutions preserve weight
+                assert c.min_weight() == f.min_weight()
+                mu = rng.randint(0, N)
+                assert to_real_basis(c.weight_part(mu)) == f.weight_part(mu)
+                n2 = rng.randint(2 * k, N)
+                assert to_real_basis(c.truncate(n2)) == f.truncate(n2)
 
     def test_reality_violation_raises(self):
         c = ComplexSeries(3, 6, {(1, 0, 0): GaussRat(1)})  # z alone is not real
