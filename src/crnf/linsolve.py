@@ -37,7 +37,3 @@ def invert(matrix):
                 Ar, Ac = A[r], A[col]
                 A[r] = [a - f * b for a, b in zip(Ar, Ac)]
     return [row[n:] for row in A]
-
-
-def mat_vec(M, v):
-    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in M]

@@ -4,16 +4,17 @@ whose leading term is x^k.
 Three solvers share one engine: at each weight mu the unknown map
 coefficients act linearly on the weight-mu part of the image, so the
 normal-form conditions become a square linear system over the rationals.
-The system matrix depends only on (k, mode, mu) and its inverse is cached,
-so normalizing many hypersurfaces of the same type costs one inversion
-per weight.  After each solve the full (nonlinear) graph transform is
-applied, which folds all lower-weight interactions into the data for the
-next weight.
+The system matrix depends only on (k, mode, mu); its inverse is cached with
+an integer form of it, so normalizing many hypersurfaces of the same type
+costs one inversion per weight.  The whole recursion runs in one integer
+frame (see crnf.transform): the graph enters once, each weight's solution
+is applied to it by the graph-transform kernel and composed into the map by
+the compose kernel, and both leave the frame once, at the end.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import (
     InternalError,
@@ -25,9 +26,9 @@ from .errors import (
     UnsupportedTypeError,
 )
 from .hypersurface import Hypersurface, essential_type
-from .linsolve import invert, mat_vec
-from .series import GaussRat, RealSeries, rat
-from .transform import FormalMap, pushforward
+from .linsolve import invert
+from .series import Frame, GaussRat, RealSeries, rat
+from .transform import FormalMap, _compose_frame, _graph_transform
 
 _TAGS = ("t", "t-ab", "rigid", "nt", "stanton", "ko1-nontube", "ko1-tube", "ko1-half")
 
@@ -329,12 +330,13 @@ def weight_system(k, mode, mu):
 
     rows are condition monomials (j, l, m); slots are unknown labels
     ("f"|"g", j, m, "re"|"im"); matrix[r][c] is the coefficient of slot c
-    in the condition for row r.  Cached per (k, mode, mu).
+    in the condition for row r.  Cached per (k, mode, mu), with the integer
+    form of the inverse the solvers use (_integer_inverse).
     """
     key = (k, mode, mu)
     hit = _system_cache.get(key)
     if hit is not None:
-        return hit
+        return hit[:4]
     rows = _condition_monomials(k, mode, mu)
     slots = _unknown_slots(k, mode, mu)
     if len(rows) != len(slots):
@@ -343,43 +345,56 @@ def weight_system(k, mode, mu):
     cols = [_column(k, s[0], s[1], s[2], s[3]) for s in slots]
     matrix = [[cols[c].get(r, Fraction(0)) for c in range(len(slots))] for r in rows]
     inv = invert(matrix) if rows else []
-    _system_cache[key] = (rows, slots, matrix, inv)
+    _system_cache[key] = (rows, slots, matrix, inv, _integer_inverse(inv))
     return rows, slots, matrix, inv
+
+
+def _integer_inverse(inv):
+    """(delta, rows): delta is the lcm of the denominators of inv, and each
+    row lists the pairs (column, n) with inv[row][column] = n / delta, n != 0."""
+    delta = lcm(*(a.denominator for row in inv for a in row))
+    return delta, [[(c, a.numerator * (delta // a.denominator))
+                    for c, a in enumerate(row) if a] for row in inv]
 
 
 def _solve(H, mode, targets):
     k, N = H.k, H.N
-    Hcur = H
-    T = FormalMap.identity(k, N)
+    A, B = targets if targets is not None else (0, 0)
+    want = RealSeries(k, N, {(2 * k - 1, 0, 0): A, (2 * k - 1, 1, 0): B})
+    # the graph, the targets and g have unit k, f has unit 1; the weight-mu
+    # unknowns (f of weight mu - k + 1, g of weight mu) and the weight-mu
+    # rows all enter with D^(mu - k), so each system is solved as it is
+    fr = Frame(k, H.F, want)
+    Fx, tx = fr.real(H.F, k), fr.real(want, k)
+    f, g = ({}, {}), ({}, {})
     report = []
     for mu in range(k + 1, N + 1):
-        rows, slots, _, inv = weight_system(k, mode, mu)
+        rows, slots, _, _ = weight_system(k, mode, mu)
         report.append((mu, len(slots), len(rows)))
         if not rows:
             continue
-        rhs = []
-        for r in rows:
-            want = Fraction(0)
-            if targets is not None:
-                if r == (2 * k - 1, 0, 0):
-                    want = targets[0]
-                elif r == (2 * k - 1, 1, 0):
-                    want = targets[1]
-            rhs.append(Hcur.F.coeff(*r) - want)
-        if all(v == 0 for v in rhs):
+        rhs = [Fx.get(r, 0) - tx.get(r, 0) for r in rows]
+        if not any(rhs):
             continue
-        sol = mat_vec(inv, rhs)
-        fco, gco = {}, {}
-        for val, (which, j, m, part) in zip(sol, slots):
-            if val == 0:
-                continue
-            d = fco if which == "f" else gco
-            prev = d.get((j, m), GaussRat(0))
-            d[(j, m)] = prev + (GaussRat(val) if part == "re" else GaussRat(0, val))
-        Tmu = FormalMap.from_parts(k, N, fco, gco)
-        Hcur = pushforward(Hcur, Tmu)
-        T = T.compose(Tmu)
-    return NormalizationResult(Hcur, T, tuple(report))
+        delta, irows = _system_cache[(k, mode, mu)][4]
+        nums = [sum(n * rhs[c] for c, n in row) for row in irows]
+        # the solution is nums / delta; in lowest terms its denominator is r
+        r = delta // gcd(delta, *nums)
+        if r != 1:
+            fr.grow(r, (Fx, k), (tx, k), (f[0], 1), (f[1], 1), (g[0], k), (g[1], k))
+        scale = r ** (mu - k)
+        fmu, gmu = ({}, {}), ({}, {})
+        for n, (which, j, m, part) in zip(nums, slots):
+            q, rem = divmod(n * scale, delta)
+            if rem:
+                raise InternalError(f"weight {mu} solution left the integer frame")
+            if q:
+                (fmu if which == "f" else gmu)[part == "im"][(j, 0, m)] = q
+        Fx = _graph_transform(Fx, fmu, gmu, k, N)
+        f, g = _compose_frame(f, g, fmu, gmu, k, N)
+    H_normal = Hypersurface(fr.real_out(Fx, k, N), basis=H.basis, _strict=H.tube_form)
+    T = FormalMap(fr.holo_out(f, 1, N), fr.holo_out(g, k, N))
+    return NormalizationResult(H_normal, T, tuple(report))
 
 
 def _verified(res: NormalizationResult, kind: NormalFormKind) -> NormalizationResult:

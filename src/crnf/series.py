@@ -39,7 +39,6 @@ from .errors import StructuralError, TruncationError, UnsupportedTypeError
 Rat = Fraction
 
 RAT_ZERO = Fraction(0)
-RAT_ONE = Fraction(1)
 
 
 def rat(p, q=1) -> Fraction:
@@ -415,6 +414,20 @@ class Frame:
                     dens.add(c.denominator)
         self.k = k
         self.D = lcm(*dens)
+        self._powers = [1]
+
+    def grow(self, r: int, *values):
+        """Multiply D by the integer r.  Each (frame dict, unit) given is
+        rescaled in place by r^(w - unit), so it stands for the same series
+        in the larger frame; its monomials must have weight >= unit."""
+        k, rp = self.k, [1]
+        for d, unit in values:
+            for key, c in d.items():
+                e = key[0] + key[1] + k * key[2] - unit
+                while len(rp) <= e:
+                    rp.append(rp[-1] * r)
+                d[key] = c * rp[e]
+        self.D *= r
         self._powers = [1]
 
     def power(self, e: int) -> int:

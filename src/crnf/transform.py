@@ -30,7 +30,7 @@ A coefficient c on a monomial of weight w becomes c D^(w - unit), where the
 unit is the weight of what the series stands for:
 
     series                        unit   lowest w   w - unit
-    graph F, image G                k       k          >= 0
+    graph F, image G, targets       k       k          >= 0
     g, psi, Re g|M, Im g|M          k       k + 1      >= 1
     f, phi, Re f|M, Im f|M          1       2          >= 1
 
@@ -48,6 +48,17 @@ rigid- and nt-normalizers work on they are x^k = 1; a fractional model
 Fractions.  The kernels use only +, - and * on values, so such an entry
 stays a Fraction, the values it touches become Fractions, and the result
 is exact on the same code path.
+
+The normalizers of crnf.normalize keep one frame for their whole weight
+recursion.  The graph and the target constants of t-ab enter it once, and D
+starts as the lcm of their denominators; the map built so far lives in it
+with the units above.  At weight mu the unknowns (f of weight mu - k + 1,
+g of weight mu) and the condition rows all carry D^(mu - k), so the system
+is solved on frame values as it stands.  When a solution has a denominator
+r != 1 there, D grows to r D (Frame.grow) and every value held is multiplied
+by r^(w - unit), which keeps it an integer.  D grows only by what the
+solutions need, so frame values stay far smaller than with a fresh frame
+per weight.  The graph and the map leave the frame once, at the end.
 """
 
 from dataclasses import dataclass
@@ -156,12 +167,9 @@ class FormalMap:
         g2 = _scale_args(other.g, self.linear, 0, -1)
         k, N = self.k, self.N
         fr = Frame(k, self.f, self.g, f2, g2)
-        f1, g1 = fr.holo(self.f, 1), fr.holo(self.g, k)
-        # f is kept only through N - k + 1 (see the module docstring)
-        f_comp = _shift_args(fr.holo(f2, 1), f1, g1, k, N - k + 1)
-        g_comp = _shift_args(fr.holo(g2, k), f1, g1, k, N)
-        return FormalMap(fr.holo_out(_add_parts(f1, f_comp), 1, N),
-                         fr.holo_out(_add_parts(g1, g_comp), k, N),
+        f, g = _compose_frame(fr.holo(self.f, 1), fr.holo(self.g, k),
+                              fr.holo(f2, 1), fr.holo(g2, k), k, N)
+        return FormalMap(fr.holo_out(f, 1, N), fr.holo_out(g, k, N),
                          self.linear.compose(other.linear))
 
     def inverse(self) -> "FormalMap":
@@ -210,6 +218,15 @@ def _scale_args(h: HoloSeries, L: LinearFactor, s1: int, s2: int) -> HoloSeries:
     k, d, rot = h.k, L.delta, L.rot
     return h.map_coeffs(lambda key, c: (c * d ** (key[0] + s1 + k * (key[1] + s2)))
                         .times_i_power(rot * (key[0] + s1)))
+
+
+def _compose_frame(f1: tuple, g1: tuple, f2: tuple, g2: tuple, k: int, N: int):
+    """The unipotent parts (f, g) of z + f1, w + g1 followed by z + f2,
+    w + g2, on complex frame values: f = f1 + f2(z + f1, w + g1) and
+    g = g1 + g2(z + f1, w + g1)."""
+    # f is kept only through N - k + 1 (see the module docstring)
+    return (_add_parts(f1, _shift_args(f2, f1, g1, k, N - k + 1)),
+            _add_parts(g1, _shift_args(g2, f1, g1, k, N)))
 
 
 def _add_parts(a: tuple, b: tuple) -> tuple:
@@ -407,30 +424,37 @@ def pushforward_series(F: RealSeries, T: FormalMap) -> RealSeries:
             raise StructuralError(
                 f"graph has a monomial of weight {F.min_weight()} < k = {k}")
         fr = Frame(k, F, Tt.f, Tt.g)
-        Fx = fr.real(F, k)
-        # Re/Im f|M replace x and y in slices of weight >= k, so only their
-        # weights <= N - k + 1 can reach the image
-        fre, fim = _restrict_frame(fr.holo(Tt.f, 1), Fx, k, N - k + 1)
-        gre, gim = _restrict_frame(fr.holo(Tt.g, k), Fx, k, N)
-        # every slice fed to _perturb has weight >= k
-        pp = _PowerProducts(((fre,), (fim,), (gre,)), (1, 1, k), N, k, k)
-        E = [{} for _ in range(N + 1)]
-        for S in (Fx, gim):
-            for (j, l, m), c in S.items():
-                bucket = E[j + l + k * m]
-                bucket[(j, l, m)] = bucket.get((j, l, m), 0) + c
-        acc = {}
-        for mu in range(k, N + 1):
-            D = _nonzero(E[mu])
-            E[mu] = {}
-            if not D:
-                continue
-            acc.update(D)
-            _perturb(D, k, pp, E)
-        if any(c for bucket in E for c in bucket.values()):
-            raise InternalError("graph transform recursion left a residue")
-        G = fr.real_out(acc, k, N)
+        G = fr.real_out(_graph_transform(fr.real(F, k), fr.holo(Tt.f, 1),
+                                         fr.holo(Tt.g, k), k, N), k, N)
     return apply_linear_series(G, Tt.linear)
+
+
+def _graph_transform(Fx: dict, f: tuple, g: tuple, k: int, N: int) -> dict:
+    """The image graph of the frame graph Fx (no monomial below weight k)
+    under z + f, w + g, on frame values: the solution G of
+    G(x + Re f|M, y + Im f|M, u + Re g|M) = F + Im g|M through weight N."""
+    # Re/Im f|M replace x and y in slices of weight >= k, so only their
+    # weights <= N - k + 1 can reach the image
+    fre, fim = _restrict_frame(f, Fx, k, N - k + 1)
+    gre, gim = _restrict_frame(g, Fx, k, N)
+    # every slice fed to _perturb has weight >= k
+    pp = _PowerProducts(((fre,), (fim,), (gre,)), (1, 1, k), N, k, k)
+    E = [{} for _ in range(N + 1)]
+    for S in (Fx, gim):
+        for (j, l, m), c in S.items():
+            bucket = E[j + l + k * m]
+            bucket[(j, l, m)] = bucket.get((j, l, m), 0) + c
+    acc = {}
+    for mu in range(k, N + 1):
+        D = _nonzero(E[mu])
+        E[mu] = {}
+        if not D:
+            continue
+        acc.update(D)
+        _perturb(D, k, pp, E)
+    if any(c for bucket in E for c in bucket.values()):
+        raise InternalError("graph transform recursion left a residue")
+    return acc
 
 
 def pushforward(H: Hypersurface, T: FormalMap) -> Hypersurface:

@@ -30,6 +30,15 @@ def H_of(d, k, N):
     return Hypersurface.validate(RealSeries(k, N, {(k, 0, 0): 1, **d}), k)
 
 
+def oracle_image(H, T):
+    """The image graph of H under the unipotent map T, by the independent
+    engine, as a dict."""
+    return oracle.pushforward_oracle(
+        oracle.from_real_series(H.F), H.k, H.N,
+        {key: (c.re, c.im) for key, c in T.f.coeffs.items()},
+        {key: (c.re, c.im) for key, c in T.g.coeffs.items()})
+
+
 def xk_plus(ctail, k, N):
     """x^k plus a complex-basis tail, as a strict-form hypersurface."""
     F = RealSeries(k, N, {(k, 0, 0): 1}) + to_real_basis(ComplexSeries(k, N, ctail))
@@ -287,11 +296,7 @@ class TestTNormalize:
         assert res.T.linear.is_identity()
         # the map itself reproduces the normal form through the independent
         # engine, which pins it down by uniqueness
-        img = oracle.pushforward_oracle(
-            oracle.from_real_series(H.F), 3, 9,
-            {key: (c.re, c.im) for key, c in res.T.f.coeffs.items()},
-            {key: (c.re, c.im) for key, c in res.T.g.coeffs.items()})
-        assert img == want
+        assert oracle_image(H, res.T) == want
 
     def test_matches_brute_force_oracle(self):
         rng = seeded(401)
@@ -307,6 +312,22 @@ class TestTNormalize:
                 res = t_normalize(H)
                 want, _pieces = oracle.oracle_normalize(dict(F), k, N, "t")
                 assert res.H_normal.F.coeffs == want
+        # large prime denominators: the solutions need primes the input
+        # lacks, so the solver's frame grows by them, with the map in it
+        F = {(3, 0, 0): Q(1), (3, 1, 0): Q(1, 10007), (2, 2, 1): Q(-5, 9973)}
+        H = Hypersurface.validate(RealSeries(3, 8, F), 3)
+        res = t_normalize(H)
+        want, _ = oracle.oracle_normalize(dict(F), 3, 8, "t")
+        assert res.H_normal.F.coeffs == want
+        assert oracle_image(H, res.T) == want
+        # prescribed constants enter the frame with the graph
+        F = {(4, 0, 0): Q(1), (2, 4, 0): Q(2, 3), (5, 1, 0): Q(-1, 10007)}
+        H = Hypersurface.validate(RealSeries(4, 9, F), 4)
+        targets = (Q(3, 7), Q(-5, 11))
+        res = t_normalize(H, targets=targets)
+        want, _ = oracle.oracle_normalize(dict(F), 4, 9, "t", targets=targets)
+        assert res.H_normal.F.coeffs == want
+        assert oracle_image(H, res.T) == want
 
     def test_already_normal_gives_identity(self):
         rng = seeded(402)
@@ -428,6 +449,13 @@ class TestRigidNormalize:
             res = rigid_normalize(H)
             want, _ = oracle.oracle_normalize(dict(F), 3, 8, "rigid")
             assert res.H_normal.F.coeffs == want
+        # large prime denominators, which the solutions' denominators lack
+        F = {(3, 0, 0): Q(1), (2, 3, 0): Q(1, 10007), (4, 2, 0): Q(2, 9973)}
+        H = Hypersurface.validate(RealSeries(3, 8, F), 3)
+        res = rigid_normalize(H)
+        want, _ = oracle.oracle_normalize(dict(F), 3, 8, "rigid")
+        assert res.H_normal.F.coeffs == want
+        assert oracle_image(H, res.T) == want
 
     def test_u_dependent_rejected(self):
         H = H_of({(1, 0, 1): 1}, 3, 9)
@@ -470,6 +498,13 @@ class TestNtNormalize:
             res = nt_normalize(H)
             want, _ = oracle.oracle_normalize(dict(F), 3, 9, "nt")
             assert res.H_normal.F.coeffs == want
+        # large prime denominators, which the solutions' denominators lack
+        F = {(3, 0, 0): Q(1), (2, 0, 1): Q(1, 10007), (4, 0, 1): Q(-1, 9973)}
+        H = Hypersurface.validate(RealSeries(3, 9, F), 3)
+        res = nt_normalize(H)
+        want, _ = oracle.oracle_normalize(dict(F), 3, 9, "nt")
+        assert res.H_normal.F.coeffs == want
+        assert oracle_image(H, res.T) == want
 
     def test_y_dependent_rejected(self):
         H = H_of({(3, 1, 0): 1}, 3, 9)

@@ -1,5 +1,5 @@
-"""Property tests of the map algebra and of tube equivalence on rational
-coefficients whose denominators reach 10^6 (the seeded tests draw
+"""Property tests of the map algebra, of t-normalization and of tube
+equivalence on rational coefficients whose denominators reach 10^6 (the seeded tests draw
 denominators up to 4).
 
 The runs are derandomized and bounded: the same examples every time."""
@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import oracle
 from crnf.equivalence import tube_equivalent
+from crnf.hypersurface import Hypersurface
+from crnf.normalize import t_normalize
 from crnf.series import GaussRat, HoloSeries, RealSeries
-from crnf.transform import FormalMap, LinearFactor, pushforward_series
+from crnf.transform import FormalMap, LinearFactor, pushforward, pushforward_series
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40,
                     database=None)
@@ -30,18 +32,22 @@ def holo_terms(k, lo, hi):
 
 
 @st.composite
-def maps(draw, k, N):
+def maps(draw, k, N, unipotent=False):
     f = draw(holo_terms(k, 2, N - k + 1))
     g = draw(holo_terms(k, k + 1, N))
-    linear = draw(st.one_of(st.just(LinearFactor()),
-                            st.builds(LinearFactor, nonzero, st.integers(0, 3))))
+    linear = LinearFactor() if unipotent else draw(st.one_of(
+        st.just(LinearFactor()), st.builds(LinearFactor, nonzero, st.integers(0, 3))))
     return FormalMap(HoloSeries(k, N, f), HoloSeries(k, N, g), linear)
 
 
 @st.composite
-def graphs(draw, k, N):
+def graphs(draw, k, N, t_normal=False):
     keys = [(j, w - k * m - j, m) for w in range(k + 1, N + 1)
             for m in range(w // k + 1) for j in range(w - k * m + 1)]
+    if t_normal:
+        # no x^0, x^1, x^(k-1), x^k family and no x^(2k-1), x^(2k-1) y term
+        keys = [(j, l, m) for j, l, m in keys
+                if j not in (0, 1, k - 1, k) and not (j == 2 * k - 1 and l < 2)]
     tail = draw(st.dictionaries(st.sampled_from(keys), nonzero, max_size=4))
     return RealSeries(k, N, {(k, 0, 0): 1, **tail})
 
@@ -62,6 +68,19 @@ def test_pushforward_is_functorial(data):
     T1, T2 = data.draw(maps(k, N)), data.draw(maps(k, N))
     step = pushforward_series(pushforward_series(F, T1), T2)
     assert step == pushforward_series(F, T1.compose(T2))
+
+
+@PROPERTY
+@given(st.data())
+def test_t_normalization_round_trip(data):
+    # the public pushforward makes its own frame, independent of the one the
+    # solver grows
+    k, N = data.draw(type_and_weight)
+    H = Hypersurface.validate(data.draw(graphs(k, N, t_normal=True)), k)
+    T = data.draw(maps(k, N, unipotent=True))
+    res = t_normalize(pushforward(H, T))
+    assert res.H_normal == H
+    assert res.T == T.inverse()
 
 
 @PROPERTY
