@@ -23,7 +23,7 @@ from .errors import (
 )
 from .hypersurface import Hypersurface
 from .normalize import NormalFormKind, check
-from .series import GaussRat, RealSeries
+from .series import Frame, GaussRat, RealSeries, _shifted
 from .transform import FormalMap, LinearFactor, pushforward_series
 
 
@@ -195,39 +195,22 @@ def _match_power_ratios(pairs):
     return delta, ambiguous
 
 
-def _compose_trunc(outer, inner, N):
-    """outer(inner(x)) for univariate {degree: Fraction}, degrees <= N.
-    Exact under truncation because inner has minimum degree 1."""
-    powers = {0: {0: Fraction(1)}}
-
-    def power(n):
-        if n not in powers:
-            prev = power(n - 1)
-            cur = {}
-            for d1, c1 in prev.items():
-                for d2, c2 in inner.items():
-                    if d1 + d2 <= N:
-                        d = d1 + d2
-                        cur[d] = cur.get(d, Fraction(0)) + c1 * c2
-            powers[n] = cur
-        return powers[n]
-
-    out = {}
-    for d, c in outer.items():
-        if d > N:
-            continue
-        for dd, cc in power(d).items():
-            out[dd] = out.get(dd, Fraction(0)) + c * cc
-    return {d: c for d, c in out.items() if c != 0}
-
-
 def _witness_holds(uF, uG, a, b, c, N):
-    inner = {1: a}
-    for j, v in uF.items():
-        inner[j] = inner.get(j, Fraction(0)) - b * v
-    inner = {d: v for d, v in inner.items() if v != 0}
-    want = {j: c * v for j, v in uF.items() if j <= N}
-    return _compose_trunc(uG, inner, N) == want
+    """True when G(ax - bF(x)) = cF(x) through weight N, for univariate
+    uF, uG ({degree: coefficient}, both of minimum degree k >= 3 and
+    2k <= N).  The left side is G_a(x + P) with G_a(x) = G(ax) and
+    P = -(b/a) F, an increment of x that gains k - 1 >= 2."""
+    k = min(uF)
+
+    def tube(u):
+        return RealSeries(k, N, {(j, 0, 0): v for j, v in u.items() if j <= N})
+
+    Ga = tube({j: v * a ** j for j, v in uG.items()})
+    P = tube({j: -b / a * v for j, v in uF.items()})
+    # G_a stands for no particular weight (unit 0), P for an increment of x
+    fr = Frame(k, Ga, P)
+    (lhs,) = _shifted((fr.real(Ga, 0),), k, ((fr.real(P, 1),), (), ()), N)
+    return fr.real_out(lhs, 0, N) == tube({j: c * v for j, v in uF.items()})
 
 
 def tube_equivalent(F: RealSeries, G: RealSeries):

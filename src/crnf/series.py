@@ -20,8 +20,12 @@ A subclass fixes the coefficient ring: fractions.Fraction for RealSeries,
 GaussRat (a pair of Fractions) for HoloSeries and ComplexSeries.  Beyond
 that, RealSeries and HoloSeries add a product (mul_upto), RealSeries the
 tests depends_on_u / depends_on_y, and ComplexSeries the reality test
-is_real.  Products and the restriction to a graph run on Python ints in the
-integer frame of their inputs (Frame) and convert back once.
+is_real.  Products, the restriction to a graph and substitutions run on
+Python ints in the integer frame of their inputs (Frame) and convert back
+once.  One kernel, _substitute, does every binomial Taylor substitution
+h(x + b1, y + b2, u + b3) of the package: shift_u here, and the graph
+transform, compose, inverse and the tube witness elsewhere (the
+crnf.transform docstring states its weight budget and frame units).
 
 Zero coefficients are dropped on construction and after every operation,
 so equality of series is plain structural equality of (k, N, coeffs).
@@ -378,8 +382,10 @@ def mul_upto(a, b, W: int):
     k, W = a.k, min(W, a.N)
     fr = Frame(k, a, b)
     if isinstance(a, RealSeries):
-        return fr.real_out(_mul(fr.real(a, 0), fr.real(b, 0), W, k), 0, a.N)
-    return fr.holo_out(_mul_parts(fr.holo(a, 0), fr.holo(b, 0), W, k), 0, a.N)
+        (out,) = _mul_parts((fr.real(a, 0),), _sorted_parts((fr.real(b, 0),), k), W, k)
+        return fr.real_out(out, 0, a.N)
+    out = _mul_parts(fr.holo(a, 0), _sorted_parts(fr.holo(b, 0), k), W, k)
+    return fr.holo_out(out, 0, a.N)
 
 
 # ---------------------------------------------------------------------------
@@ -493,18 +499,16 @@ def _min_weight(parts, k: int):
     return min((j + l + k * m for d in parts for (j, l, m) in d), default=None)
 
 
-def _terms(d: dict, k: int) -> list:
-    """A frame dict as (weight, j, l, m, c) tuples, ascending in weight."""
-    return sorted(((j + l + k * m, j, l, m, c) for (j, l, m), c in d.items()),
-                  key=itemgetter(0))
+def _sorted_parts(a: tuple, k: int) -> tuple:
+    """Each part of a frame value as (weight, j, l, m, c) tuples, ascending
+    in weight: the form of a second factor of _mul_parts."""
+    return tuple(sorted(((j + l + k * m, j, l, m, c) for (j, l, m), c in p.items()),
+                        key=itemgetter(0)) for p in a)
 
 
-def _mul_into(out: dict, x: dict, y: dict, W: int, k: int, sign: int = 1):
-    """Add sign * x * y through weight W to out (zeros are left in out)."""
-    if len(x) > len(y):
-        x, y = y, x
-    # the larger factor sorted by weight, so the inner loop stops at the bound
-    ys = _terms(y, k)
+def _mul_into(out: dict, x: dict, ys: list, W: int, k: int, sign: int = 1):
+    """Add sign * x * y through weight W to out (zeros are left in out); ys
+    is one part of _sorted_parts(y), so the inner loop stops at the bound."""
     get = out.get
     for (j1, l1, m1), c1 in x.items():
         budget = W - (j1 + l1 + k * m1)
@@ -517,17 +521,13 @@ def _mul_into(out: dict, x: dict, y: dict, W: int, k: int, sign: int = 1):
             out[key] = get(key, 0) + c1 * c2
 
 
-def _mul(x: dict, y: dict, W: int, k: int) -> dict:
-    out = {}
-    _mul_into(out, x, y, W, k)
-    return _nonzero(out)
-
-
 def _mul_parts(a: tuple, b: tuple, W: int, k: int) -> tuple:
     """Product through weight W of two real (re,) or two complex (re, im)
-    frame values."""
+    frame values; b is given as _sorted_parts."""
     if len(a) == 1:
-        return (_mul(a[0], b[0], W, k),)
+        out = {}
+        _mul_into(out, a[0], b[0], W, k)
+        return (_nonzero(out),)
     (ar, ai), (br, bi) = a, b
     re, im = {}, {}
     _mul_into(re, ar, br, W, k)
@@ -572,13 +572,16 @@ def _restrict_frame(h, F: dict, k: int, W: int):
         need[m] = W - low
 
     wpow = ({(0, 0, 0): 1}, {})  # w^0 = 1
-    w_pair = ({(0, 0, 1): 1}, F)  # u + iF
+    w_pair = _sorted_parts(({(0, 0, 1): 1}, F), k)  # u + iF
     out_re, out_im = {}, {}
     for m in range(top + 1):
         if m:
             wpow = _mul_parts(wpow, w_pair, need[m], k)
-        for j, cr, ci in by_m.get(m, ()):
-            tr, ti = _mul_parts(_zpow(j), wpow, W, k)
+        if m not in by_m:
+            continue
+        wsorted = _sorted_parts(wpow, k)
+        for j, cr, ci in by_m[m]:
+            tr, ti = _mul_parts(_zpow(j), wsorted, W, k)
             # add (cr + i ci) * (tr + i ti) to the accumulators
             for out, part, x in ((out_re, tr, cr), (out_re, ti, -ci),
                                  (out_im, tr, ci), (out_im, ti, cr)):
@@ -587,6 +590,113 @@ def _restrict_frame(h, F: dict, k: int, W: int):
                     for key, v in part.items():
                         out[key] = get(key, 0) + x * v
     return _nonzero(out_re), _nonzero(out_im)
+
+
+class _PowerProducts:
+    """Lazily cached products b1^t1 b2^t2 b3^t3 of the increments (b1, b2, b3)
+    of x, y and u, of weights 1, 1 and k.  Each base is a frame value: (re,)
+    for a real increment, (re, im) for a complex one, and () for a variable
+    left alone.
+
+    Every consumer term has weight >= wlow and is wanted through weight W, so
+    the product for (t1, t2, t3) is built only through
+    min(W, W - wlow + t1 + t2 + k t3).  Each base must have min weight >= its
+    unit; then a product built from its predecessor is exact through its own
+    bound.
+    """
+
+    def __init__(self, bases, W, wlow, k):
+        self.bases = bases
+        self.units = (1, 1, k)
+        self.W = W
+        self.wlow = wlow
+        self.k = k
+        # weight gained per factor over the variable it replaces; None when
+        # the base is identically zero or absent
+        self.gains = tuple(None if (w := _min_weight(b, k)) is None else w - u
+                           for b, u in zip(bases, self.units))
+        self.cache = {}
+        self.by_weight = {}
+
+    def product(self, t):
+        cur = self.cache.get(t)
+        if cur is None:
+            i = next(i for i, ti in enumerate(t) if ti)
+            prev = t[:i] + (t[i] - 1,) + t[i + 1:]
+            if any(prev):
+                bound = min(self.W, self.W - self.wlow
+                            + sum(a * u for a, u in zip(t, self.units)))
+                base = self.items(tuple(int(n == i) for n in range(len(t))))
+                cur = _mul_parts(self.product(prev), base, bound, self.k)
+            else:
+                cur = self.bases[i]
+            self.cache[t] = cur
+        return cur
+
+    def items(self, t):
+        """The product's parts as _sorted_parts."""
+        cur = self.by_weight.get(t)
+        if cur is None:
+            cur = _sorted_parts(self.product(t), self.k)
+            self.by_weight[t] = cur
+        return cur
+
+
+def _substitute(h: tuple, k: int, pp: _PowerProducts, outs: tuple, sign: int):
+    """Add sign * (h(x + b1, y + b2, u + b3) - h) through weight pp.W to the
+    weight buckets outs[part][w], where b1, b2, b3 are the bases of pp.
+
+    h and the bases are real (re,) or complex (re, im) frame values; part a
+    of h times part b of a power product goes to outs[(a + b) & 1], negated
+    when a + b == 2 (i times i).  This binomial Taylor expansion is the one
+    substitution of the package: the graph transform, compose, inverse,
+    shift_u and the tube witness all run through it.
+    """
+    W = pp.W
+    g1, g2, g3 = pp.gains
+    for a, part in enumerate(h):
+        for (j, l, m), c in part.items():
+            w = j + l + k * m
+            for t1 in range(j + 1 if g1 is not None else 1):
+                e1 = w + (t1 * g1 if t1 else 0)
+                if e1 > W:
+                    break
+                for t2 in range(l + 1 if g2 is not None else 1):
+                    e2 = e1 + (t2 * g2 if t2 else 0)
+                    if e2 > W:
+                        break
+                    for t3 in range(m + 1 if g3 is not None else 1):
+                        if e2 + (t3 * g3 if t3 else 0) > W:
+                            break
+                        if t1 == 0 and t2 == 0 and t3 == 0:
+                            continue
+                        cb = c * binom(j, t1) * binom(l, t2) * binom(m, t3)
+                        jb, lb, mb = j - t1, l - t2, m - t3
+                        wb = jb + lb + k * mb
+                        budget = W - wb
+                        for b, terms in enumerate(pp.items((t1, t2, t3))):
+                            out = outs[(a + b) & 1]
+                            cs = -cb if (a + b == 2) != (sign < 0) else cb
+                            for pw, pj, pl, pm, pc in terms:
+                                if pw > budget:
+                                    break
+                                bucket = out[wb + pw]
+                                key = (jb + pj, lb + pl, mb + pm)
+                                bucket[key] = bucket.get(key, 0) + cs * pc
+
+
+def _shifted(h: tuple, k: int, bases: tuple, W: int) -> tuple:
+    """h(x + b1, y + b2, u + b3) through weight W on frame values, with the
+    bases as for _PowerProducts; h's own terms are kept whatever their
+    weight."""
+    out = tuple(dict(p) for p in h)
+    wlow = _min_weight(h, k)
+    if wlow is not None:
+        # every weight bucket of a part is that part's one dict, so the
+        # substitution lands flat on h's own terms
+        _substitute(h, k, _PowerProducts(bases, W, wlow, k),
+                    tuple([o] * (W + 1) for o in out), 1)
+    return tuple(_nonzero(o) for o in out)
 
 
 # ---------------------------------------------------------------------------
@@ -683,29 +793,10 @@ def shift_u(F: RealSeries, P: RealSeries) -> RealSeries:
     if pmin < k:
         raise StructuralError(
             f"shift_u needs a perturbation of weight >= k = {k}, got {pmin}")
-    gain = pmin - k  # extra weight per P factor relative to the u it replaces
-    ppow = {}
-    out = {}
-
-    def p_power(t):
-        cur = ppow.get(t)
-        if cur is None:
-            cur = P if t == 1 else p_power(t - 1) * P
-            ppow[t] = cur
-        return cur
-
-    for (j, l, m), c in F.coeffs.items():
-        w = j + l + k * m
-        _acc_add(out, (j, l, m), c)
-        for t in range(1, m + 1):
-            if gain and w + t * gain > N:
-                break
-            cb = c * binom(m, t)
-            for (pj, pl, pm), pc in p_power(t).coeffs.items():
-                jj, ll, mm = j + pj, l + pl, m - t + pm
-                if jj + ll + k * mm <= N:
-                    _acc_add(out, (jj, ll, mm), cb * pc)
-    return RealSeries._raw(k, N, out)
+    # F stands for no particular weight (unit 0), P for an increment of u
+    fr = Frame(k, F, P)
+    (out,) = _shifted((fr.real(F, 0),), k, ((), (), (fr.real(P, k),)), N)
+    return fr.real_out(out, 0, N)
 
 
 def _acc_add(out, key, val):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from .errors import StructuralError
+from .errors import InternalError, StructuralError
 from .hypersurface import Hypersurface, essential_type
 from .normalize import NormalFormKind, check
 from .series import rat
@@ -83,7 +83,7 @@ def rotation_order(H: Hypersurface):
         return None
     g = reduce(gcd, diffs)
     if not is_linear_automorphism(H, RootRotation(g, 1)):
-        raise StructuralError("rotation generator failed re-verification")
+        raise InternalError("rotation generator failed re-verification")
     return g
 
 
@@ -122,7 +122,7 @@ class AutClass:
 def _verified(H, gens):
     for L in gens:
         if not is_linear_automorphism(H, L):
-            raise StructuralError(f"claimed generator failed verification: {L!r}")
+            raise InternalError(f"claimed generator failed verification: {L!r}")
     return tuple(gens)
 
 

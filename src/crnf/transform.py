@@ -12,42 +12,58 @@ truncated computation possible: coefficients of f beyond weight N - k + 1
 and of g beyond weight N cannot influence the image graph through weight N,
 so FormalMap drops them canonically and equality of maps is structural.
 
+One substitution kernel: every binomial Taylor substitution of the package,
+h(x + b1, y + b2, u + b3) expanded over cached power products of the
+increments, runs in crnf.series._substitute.  It has five consumers: the
+graph transform (G(x + Re f|M, y + Im f|M, u + Re g|M) below), compose and
+inverse (h(z + f, w + g)), crnf.series.shift_u (F(x, y, u + P)) and the
+tube witness of crnf.equivalence (G(ax - bF) = G_a(x + P), where
+G_a(x) = G(ax) and P = -(b/a) F).
+
 Weight budget: every product here is formed only through the weight its
 consumer can use.  A product that stands in for factors of total weight v
 inside a consumer term of weight w, where the consumer is wanted through
 weight W, is kept through W - w + v, capped at W (itself at most N).  For
 the power products of one substitution, w is the lowest weight among the
-consumer terms (the min weight of the substituted series for compose and
-inverse, k for the slices of the graph transform), and W is N - k + 1 for
-the f part of a map (and for Re f|M, Im f|M in the graph transform) and N
-otherwise.  Nothing above a budget can reach a kept coefficient, so the
-results are the same as with products through N.
+consumer terms (the min weight of the substituted series, and k for the
+slices of the graph transform), and W is N - k + 1 for the f part of a map
+(and for Re f|M, Im f|M in the graph transform) and N otherwise.  Nothing
+above a budget can reach a kept coefficient, so the results are the same as
+with products through N.  This needs each increment to have min weight >=
+the weight of the variable it replaces (shift_u gets -Re(c z^k), of weight
+exactly k); the graph transform needs >, since its recursion adds each
+slice's substitution into strictly higher weights only.
 
-Integer frame: the graph transform, compose and inverse run on Python ints.
-Each conjugates its inputs by the dilation z -> D z, w -> D^k w, where D is
-the lcm of the denominators of every input coefficient (crnf.series.Frame).
-A coefficient c on a monomial of weight w becomes c D^(w - unit), where the
-unit is the weight of what the series stands for:
+Integer frame: the five consumers and the restriction to the graph run on
+Python ints.  Each conjugates its inputs by the dilation z -> D z,
+w -> D^k w, where D is the lcm of the denominators of every input
+coefficient (crnf.series.Frame).  A coefficient c on a monomial of weight w
+becomes c D^(w - unit), where the unit is the weight of what the series
+stands for:
 
     series                        unit   lowest w   w - unit
     graph F, image G, targets       k       k          >= 0
     g, psi, Re g|M, Im g|M          k       k + 1      >= 1
     f, phi, Re f|M, Im f|M          1       2          >= 1
+    F of shift_u                    0       any        >= 0
+    P of shift_u                    k       k          >= 0
+    G_a of the tube witness         0       k          >= k
+    P of the tube witness           1       k          >= k - 1
 
 (phi and psi are the iterates of inverse).  The conjugate of z + f, w + g is
 z + D^-1 f(D z, D^k w), w + D^-k g(D z, D^k w), and every identity the
-kernels evaluate (h(z + f, w + g), h(x + iy, u + iF), and the graph
-equation below) is homogeneous in these units, so the kernels run unchanged
-on the conjugated data.  Where w - unit >= 1 the entry c D^(w - unit) is an
-integer, because the denominator of c divides D; then every product,
-binomial and sum is an integer operation, and each result coefficient leaves
-the frame once, as Fraction(n, D^(w - unit)).  No dilation clears the
-weight-k coefficients of the graph (w - unit = 0).  On the graphs the t-,
-rigid- and nt-normalizers work on they are x^k = 1; a fractional model
-(normal coordinates, or a raw file given to apply) keeps them as
-Fractions.  The kernels use only +, - and * on values, so such an entry
-stays a Fraction, the values it touches become Fractions, and the result
-is exact on the same code path.
+kernels evaluate (h(z + f, w + g), h(x + iy, u + iF), F(x, y, u + P),
+G_a(x + P) and the graph equation below) is homogeneous in these units, so
+the kernels run unchanged on the conjugated data.  Where w - unit >= 1 the
+entry c D^(w - unit) is an integer, because the denominator of c divides D;
+then every product, binomial and sum is an integer operation, and each
+result coefficient leaves the frame once, as Fraction(n, D^(w - unit)).  No
+dilation clears an entry with w - unit = 0, such as a weight-k coefficient
+of the graph.  On the graphs the t-, rigid- and nt-normalizers work on
+those are x^k = 1; a fractional model (normal coordinates, or a raw file
+given to apply) keeps them as Fractions.  The kernels use only +, - and *
+on values, so such an entry stays a Fraction, the values it touches become
+Fractions, and the result is exact on the same code path.
 
 The normalizers of crnf.normalize keep one frame for their whole weight
 recursion.  The graph and the target constants of t-ab enter it once, and D
@@ -63,7 +79,6 @@ per weight.  The graph and the map leave the frame once, at the end.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb as binom
 
 from .errors import InternalError, StructuralError, UnsupportedTypeError
 from .hypersurface import Hypersurface
@@ -72,12 +87,12 @@ from .series import (
     GaussRat,
     HoloSeries,
     RealSeries,
+    _PowerProducts,
     _acc_add,
-    _min_weight,
-    _mul_parts,
     _nonzero,
     _restrict_frame,
-    _terms,
+    _shifted,
+    _substitute,
 )
 
 
@@ -181,8 +196,9 @@ class FormalMap:
         zero = ({}, {})
         phi, psi = zero, zero
         for _ in range(N):
-            phi2 = _shift_args(f, phi, psi, k, N - k + 1)
-            psi2 = _shift_args(g, phi, psi, k, N)
+            bases = (phi, (), psi)
+            phi2 = _shifted(f, k, bases, N - k + 1)
+            psi2 = _shifted(g, k, bases, N)
             if phi2 == phi and psi2 == psi:
                 break
             phi, psi = phi2, psi2
@@ -225,8 +241,9 @@ def _compose_frame(f1: tuple, g1: tuple, f2: tuple, g2: tuple, k: int, N: int):
     w + g2, on complex frame values: f = f1 + f2(z + f1, w + g1) and
     g = g1 + g2(z + f1, w + g1)."""
     # f is kept only through N - k + 1 (see the module docstring)
-    return (_add_parts(f1, _shift_args(f2, f1, g1, k, N - k + 1)),
-            _add_parts(g1, _shift_args(g2, f1, g1, k, N)))
+    bases = (f1, (), g1)
+    return (_add_parts(f1, _shifted(f2, k, bases, N - k + 1)),
+            _add_parts(g1, _shifted(g2, k, bases, N)))
 
 
 def _add_parts(a: tuple, b: tuple) -> tuple:
@@ -237,137 +254,8 @@ def _add_parts(a: tuple, b: tuple) -> tuple:
     return out
 
 
-def _shift_args(h: tuple, df: tuple, dg: tuple, k: int, W: int) -> tuple:
-    """h(z + df, w + dg) through weight W, on complex frame values.
-
-    h's own terms are kept whatever their weight.  df and dg must have min
-    weights >= 2 and >= k+1 respectively so every substituted factor strictly
-    raises the weight.
-    """
-    hr, hi = h
-    out_r, out_i = dict(hr), dict(hi)
-    wlow = _min_weight(h, k)
-    if wlow is None or not (any(df) or any(dg)):
-        return out_r, out_i
-    pp = _PowerProducts((df, dg), (1, k), W, wlow, k)
-    gain_f, gain_g = pp.gains
-    # a real coefficient c of h adds c P to the result, an imaginary one i c
-    # adds i c P: routes (part of P, target, sign) for each
-    for part, routes in ((hr, ((0, out_r, 1), (1, out_i, 1))),
-                         (hi, ((0, out_i, 1), (1, out_r, -1)))):
-        for (j, _, m), c in part.items():
-            w = j + k * m
-            for t1 in range(j + 1 if gain_f is not None else 1):
-                extra1 = t1 * gain_f if t1 else 0
-                if w + extra1 > W:
-                    break
-                for t2 in range(m + 1 if gain_g is not None else 1):
-                    if w + extra1 + (t2 * gain_g if t2 else 0) > W:
-                        break
-                    if t1 == 0 and t2 == 0:
-                        continue
-                    cb = c * binom(j, t1) * binom(m, t2)
-                    jb, mb = j - t1, m - t2
-                    budget = W - (jb + k * mb)
-                    terms = pp.items((t1, t2))
-                    for p, out, sign in routes:
-                        cs = cb if sign > 0 else -cb
-                        get = out.get
-                        for pw, pj, _, pm, pc in terms[p]:
-                            if pw > budget:
-                                break
-                            key = (jb + pj, 0, mb + pm)
-                            out[key] = get(key, 0) + cs * pc
-    return _nonzero(out_r), _nonzero(out_i)
-
-
-class _PowerProducts:
-    """Lazily cached products b1^t1 b2^t2 ... of substitution increments b_i,
-    each standing in for a variable of weight unit_i.  The bases are frame
-    values: (re,) for a real increment, (re, im) for a complex one.
-
-    Every consumer term has weight >= wlow and is wanted through weight W, so
-    the product for (t1, t2, ...) is built only through
-    min(W, W - wlow + t1 unit_1 + t2 unit_2 + ...).  Each base must have min
-    weight > its unit; then a product built from its predecessor is exact
-    through its own bound.
-    """
-
-    def __init__(self, bases, units, W, wlow, k):
-        self.bases = bases
-        self.units = units
-        self.W = W
-        self.wlow = wlow
-        self.k = k
-        # weight gained per factor over the variable it replaces; None when
-        # the base is identically zero
-        self.gains = tuple(None if (w := _min_weight(b, k)) is None else w - u
-                           for b, u in zip(bases, units))
-        self.cache = {}
-        self.by_weight = {}
-
-    def product(self, t):
-        cur = self.cache.get(t)
-        if cur is None:
-            i = next(i for i, ti in enumerate(t) if ti)
-            prev = t[:i] + (t[i] - 1,) + t[i + 1:]
-            if any(prev):
-                bound = min(self.W, self.W - self.wlow
-                            + sum(a * u for a, u in zip(t, self.units)))
-                cur = _mul_parts(self.product(prev), self.bases[i], bound, self.k)
-            else:
-                cur = self.bases[i]
-            self.cache[t] = cur
-        return cur
-
-    def items(self, t):
-        """The product's parts, each as (weight, j, l, m, c) ascending in weight."""
-        cur = self.by_weight.get(t)
-        if cur is None:
-            cur = tuple(_terms(p, self.k) for p in self.product(t))
-            self.by_weight[t] = cur
-        return cur
-
-
 # ---------------------------------------------------------------------------
 # graph transform (pushforward)
-
-def _perturb(D: dict, k: int, pp: _PowerProducts, E: list):
-    """Subtract D(x + s, y + q, u + r) - D from E, through weight pp.W.
-
-    D maps the frame monomials of one weight >= k to their values; E[w] holds
-    the frame coefficients of weight w.  The perturbation has weight > D's,
-    so it never touches D's own bucket.
-    """
-    N = pp.W
-    g1, g2, g3 = pp.gains
-    for (j, l, m), c in D.items():
-        w = j + l + k * m
-        for t1 in range(j + 1 if g1 is not None else 1):
-            e1 = w + (t1 * g1 if t1 else 0)
-            if e1 > N:
-                break
-            for t2 in range(l + 1 if g2 is not None else 1):
-                e2 = e1 + (t2 * g2 if t2 else 0)
-                if e2 > N:
-                    break
-                for t3 in range(m + 1 if g3 is not None else 1):
-                    if e2 + (t3 * g3 if t3 else 0) > N:
-                        break
-                    if t1 == 0 and t2 == 0 and t3 == 0:
-                        continue
-                    cb = -c * binom(j, t1) * binom(l, t2) * binom(m, t3)
-                    jb, lb, mb = j - t1, l - t2, m - t3
-                    wb = jb + lb + k * mb
-                    budget = N - wb
-                    (terms,) = pp.items((t1, t2, t3))
-                    for pw, pj, pl, pm, pc in terms:
-                        if pw > budget:
-                            break
-                        bucket = E[wb + pw]
-                        key = (jb + pj, lb + pl, mb + pm)
-                        bucket[key] = bucket.get(key, 0) + cb * pc
-
 
 def apply_linear_series(F: RealSeries, L: LinearFactor) -> RealSeries:
     """Image of the graph v = F under the linear map z* = delta i^rot z,
@@ -437,8 +325,8 @@ def _graph_transform(Fx: dict, f: tuple, g: tuple, k: int, N: int) -> dict:
     # weights <= N - k + 1 can reach the image
     fre, fim = _restrict_frame(f, Fx, k, N - k + 1)
     gre, gim = _restrict_frame(g, Fx, k, N)
-    # every slice fed to _perturb has weight >= k
-    pp = _PowerProducts(((fre,), (fim,), (gre,)), (1, 1, k), N, k, k)
+    # every slice fed to the substitution has weight >= k
+    pp = _PowerProducts(((fre,), (fim,), (gre,)), N, k, k)
     E = [{} for _ in range(N + 1)]
     for S in (Fx, gim):
         for (j, l, m), c in S.items():
@@ -451,7 +339,9 @@ def _graph_transform(Fx: dict, f: tuple, g: tuple, k: int, N: int) -> dict:
         if not D:
             continue
         acc.update(D)
-        _perturb(D, k, pp, E)
+        # each increment has min weight > its unit, so D's own bucket is
+        # left alone
+        _substitute((D,), k, pp, (E,), -1)
     if any(c for bucket in E for c in bucket.values()):
         raise InternalError("graph transform recursion left a residue")
     return acc

@@ -7,6 +7,7 @@ from conftest import rand_frac, seeded
 from crnf.equivalence import (
     RadicalReal,
     TubeWitness,
+    _witness_holds,
     rigid_equivalence_reduce,
     tube_equivalent,
 )
@@ -167,6 +168,22 @@ class TestTubeEquivalent:
                 assert w is not None
                 if w.b is not None:
                     verify_witness(F, G, w)
+
+    def test_witness_identity_is_exact(self):
+        # a planted rational witness satisfies G(ax - bF) = cF, and moving
+        # b or c by 1/10007 breaks it
+        k, N = 4, 14
+        uF = {4: Q(1), 6: Q(2, 3), 9: Q(-5, 7), 13: Q(1, 3)}
+        a, b, c = Q(3, 2), Q(-2, 5), Q(7, 3)
+        P = {1: a}
+        for j, v in uF.items():
+            P[j] = P.get(j, Q(0)) - b * v
+        Pinv = oracle.univariate_inverse(P, N)
+        uG = {j: c * v for j, v in oracle.ucompose_trunc(uF, Pinv, N).items()}
+        assert _witness_holds(uF, uG, a, b, c, N)
+        eps = Q(1, 10007)
+        assert not _witness_holds(uF, uG, a, b + eps, c, N)
+        assert not _witness_holds(uF, uG, a, b, c + eps, N)
 
     def test_failed_substitution_raises(self, monkeypatch):
         # a rational witness that fails the substitution identity is an

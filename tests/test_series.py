@@ -329,14 +329,23 @@ class TestShiftU:
 
     def test_matches_oracle(self):
         rng = seeded(108)
+        cases = []
         for _ in range(8):
             k, N = 3, 10
-            F = rand_real_series(rng, k, N, nterms=5)
-            # perturbation of weight >= k in x, y only
-            P = rand_real_series(rng, k, N, nterms=3, min_wt=k, max_wt=N)
-            P = RealSeries(k, N, {key: c for key, c in P.coeffs.items() if key[2] == 0})
-            if P.is_zero():
-                continue
+            # perturbations of weight >= k, u terms included
+            cases.append((rand_real_series(rng, k, N, nterms=5),
+                          rand_real_series(rng, k, N, nterms=3, min_wt=k, max_wt=N)))
+        # x u and u^2 terms, a k = 4 case, and perturbations of weight
+        # exactly k (gain 0), one of them a multiple of u itself
+        for k, N, P in [(3, 10, {(1, 0, 1): Fraction(2, 3), (0, 0, 2): Fraction(-1, 5)}),
+                        (4, 13, {(0, 0, 2): 3, (1, 1, 1): Fraction(-2, 7)}),
+                        (4, 12, {(4, 0, 0): Fraction(1, 3), (1, 0, 1): 5}),
+                        (3, 9, {(0, 0, 1): Fraction(-1, 2), (2, 1, 0): 5})]:
+            F = rand_real_series(rng, k, N, nterms=6) + RealSeries(
+                k, N, {(0, 0, 3): Fraction(1, 7), (1, 1, 2): -2, (0, 0, 0): 1})
+            cases.append((F, RealSeries(k, N, P)))
+        for F, P in cases:
+            k, N = F.k, F.N
             got = shift_u(F, P)
             want = oracle.subst_xyu(
                 oracle.from_real_series(F), k,

@@ -4,7 +4,7 @@ import pytest
 
 import oracle
 from conftest import rand_frac, seeded
-from crnf.errors import StructuralError
+from crnf.errors import InternalError, StructuralError
 from crnf.hypersurface import Hypersurface, invariant_L
 from crnf.series import ComplexSeries, RealSeries, to_real_basis
 from crnf.symmetry import (
@@ -141,6 +141,13 @@ class TestRotationOrder:
         assert rotation_order(tube({4: 1}, 4, 8)) == 2
         assert rotation_order(tube({3: 1}, 3, 6)) == 1
 
+    def test_failed_generator_raises(self, monkeypatch):
+        # a rotation generator that fails re-verification is an internal
+        # error, not bad input
+        monkeypatch.setattr("crnf.symmetry.is_linear_automorphism", lambda *args: False)
+        with pytest.raises(InternalError):
+            rotation_order(tube({4: 1}, 4, 8))
+
     def test_matches_brute_force_oracle(self):
         rng = seeded(613)
         for H, _, _, _ in corpus():
@@ -187,6 +194,13 @@ class TestClassifyAut:
             got = classify_aut(H)
             for gen in got.evidence:
                 assert is_linear_automorphism(H, gen)
+
+    def test_failed_evidence_raises(self, monkeypatch):
+        # evidence that fails re-verification is an internal error, not bad
+        # input; the bowl's generators go straight to the check
+        monkeypatch.setattr("crnf.symmetry.is_linear_automorphism", lambda *args: False)
+        with pytest.raises(InternalError):
+            classify_aut(czz({(2, 2, 0): 1}, 4, 8))
 
     def test_rplusz_orders_match_invariant(self):
         # on mixed-only models below half type the rotation gap equals
