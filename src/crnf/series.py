@@ -23,9 +23,9 @@ tests depends_on_u / depends_on_y, and ComplexSeries the reality test
 is_real.  Products, the restriction to a graph and substitutions run on
 Python ints in the integer frame of their inputs (Frame) and convert back
 once.  One kernel, _substitute, does every binomial Taylor substitution
-h(x + b1, y + b2, u + b3) of the package: shift_u here, and the graph
-transform, compose, inverse and the tube witness elsewhere (the
-crnf.transform docstring states its weight budget and frame units).
+h(x + b1, y + b2, u + b3) of the package.  Its two callers are _shifted,
+which evaluates one, and _unshift, which solves one for h weight by weight
+(the crnf.transform docstring names their consumers, budget and units).
 
 Zero coefficients are dropped on construction and after every operation,
 so equality of series is plain structural equality of (k, N, coeffs).
@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import comb as binom, lcm
 from operator import itemgetter
 
-from .errors import StructuralError, TruncationError, UnsupportedTypeError
+from .errors import InternalError, StructuralError, TruncationError, UnsupportedTypeError
 
 Rat = Fraction
 
@@ -648,9 +648,7 @@ def _substitute(h: tuple, k: int, pp: _PowerProducts, outs: tuple, sign: int):
 
     h and the bases are real (re,) or complex (re, im) frame values; part a
     of h times part b of a power product goes to outs[(a + b) & 1], negated
-    when a + b == 2 (i times i).  This binomial Taylor expansion is the one
-    substitution of the package: the graph transform, compose, inverse,
-    shift_u and the tube witness all run through it.
+    when a + b == 2 (i times i).  Its two callers are _shifted and _unshift.
     """
     W = pp.W
     g1, g2, g3 = pp.gains
@@ -697,6 +695,35 @@ def _shifted(h: tuple, k: int, bases: tuple, W: int) -> tuple:
         _substitute(h, k, _PowerProducts(bases, W, wlow, k),
                     tuple([o] * (W + 1) for o in out), 1)
     return tuple(_nonzero(o) for o in out)
+
+
+def _unshift(R: tuple, k: int, bases: tuple, W: int) -> tuple:
+    """The solution G of G(x + b1, y + b2, u + b3) = R through weight W, on
+    real (re,) or complex (re, im) frame values, with the bases as for
+    _PowerProducts: the one weight recursion of the package, run by the
+    graph transform and by the inverse of a map.  Each base needs min weight
+    > its unit; then the substitution of G's weight-mu slice lands above mu
+    only, so the slice is what is left of R at weight mu once the lower
+    slices are substituted.  Anything left in a solved weight raises
+    InternalError."""
+    E = tuple([{} for _ in range(W + 1)] for _ in R)
+    for buckets, part in zip(E, R):
+        for (j, l, m), c in part.items():
+            buckets[j + l + k * m][(j, l, m)] = c
+    G = tuple({} for _ in R)
+    wlow = _min_weight(R, k)
+    if wlow is None:
+        return G
+    pp = _PowerProducts(bases, W, wlow, k)
+    for mu in range(wlow, W + 1):
+        S = tuple(_nonzero(buckets[mu]) for buckets in E)
+        for buckets, g, s in zip(E, G, S):
+            buckets[mu] = {}
+            g.update(s)
+        _substitute(S, k, pp, E, -1)
+    if any(c for buckets in E for bucket in buckets for c in bucket.values()):
+        raise InternalError("weight recursion (_unshift) left a residue")
+    return G
 
 
 # ---------------------------------------------------------------------------

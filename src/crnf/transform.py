@@ -14,25 +14,25 @@ so FormalMap drops them canonically and equality of maps is structural.
 
 One substitution kernel: every binomial Taylor substitution of the package,
 h(x + b1, y + b2, u + b3) expanded over cached power products of the
-increments, runs in crnf.series._substitute.  It has five consumers: the
-graph transform (G(x + Re f|M, y + Im f|M, u + Re g|M) below), compose and
-inverse (h(z + f, w + g)), crnf.series.shift_u (F(x, y, u + P)) and the
-tube witness of crnf.equivalence (G(ax - bF) = G_a(x + P), where
-G_a(x) = G(ax) and P = -(b/a) F).
+increments, runs in one kernel of crnf.series.  crnf.series._shifted
+evaluates it for compose (h(z + f, w + g)), shift_u (F(x, y, u + P)) and
+the tube witness (G(ax - bF) = G_a(x + P), G_a(x) = G(ax), P = -(b/a) F).
+crnf.series._unshift solves it weight by weight for the graph transform
+(below) and inverse: U^-1 = (z + phi, w + psi) has phi(z + f, w + g) = -f
+and psi(z + f, w + g) = -g.
 
 Weight budget: every product here is formed only through the weight its
 consumer can use.  A product that stands in for factors of total weight v
 inside a consumer term of weight w, where the consumer is wanted through
 weight W, is kept through W - w + v, capped at W (itself at most N).  For
 the power products of one substitution, w is the lowest weight among the
-consumer terms (the min weight of the substituted series, and k for the
-slices of the graph transform), and W is N - k + 1 for the f part of a map
+consumer terms (the min weight of the substituted series, or of the right
+side that _unshift solves for), and W is N - k + 1 for the f part of a map
 (and for Re f|M, Im f|M in the graph transform) and N otherwise.  Nothing
 above a budget can reach a kept coefficient, so the results are the same as
 with products through N.  This needs each increment to have min weight >=
 the weight of the variable it replaces (shift_u gets -Re(c z^k), of weight
-exactly k); the graph transform needs >, since its recursion adds each
-slice's substitution into strictly higher weights only.
+exactly k); _unshift needs > (see there).
 
 Integer frame: the five consumers and the restriction to the graph run on
 Python ints.  Each conjugates its inputs by the dilation z -> D z,
@@ -50,11 +50,11 @@ stands for:
     G_a of the tube witness         0       k          >= k
     P of the tube witness           1       k          >= k - 1
 
-(phi and psi are the iterates of inverse).  The conjugate of z + f, w + g is
-z + D^-1 f(D z, D^k w), w + D^-k g(D z, D^k w), and every identity the
-kernels evaluate (h(z + f, w + g), h(x + iy, u + iF), F(x, y, u + P),
-G_a(x + P) and the graph equation below) is homogeneous in these units, so
-the kernels run unchanged on the conjugated data.  Where w - unit >= 1 the
+The conjugate of z + f, w + g is z + D^-1 f(D z, D^k w),
+w + D^-k g(D z, D^k w), and every identity the kernels evaluate
+(h(z + f, w + g), h(x + iy, u + iF), F(x, y, u + P), G_a(x + P) and the
+graph equation below) is homogeneous in these units, so the kernels run
+unchanged on the conjugated data.  Where w - unit >= 1 the
 entry c D^(w - unit) is an integer, because the denominator of c divides D;
 then every product, binomial and sum is an integer operation, and each
 result coefficient leaves the frame once, as Fraction(n, D^(w - unit)).  No
@@ -87,12 +87,10 @@ from .series import (
     GaussRat,
     HoloSeries,
     RealSeries,
-    _PowerProducts,
     _acc_add,
-    _nonzero,
     _restrict_frame,
     _shifted,
-    _substitute,
+    _unshift,
 )
 
 
@@ -191,17 +189,10 @@ class FormalMap:
         """Exact inverse as a FormalMap at the same truncation."""
         k, N = self.k, self.N
         fr = Frame(k, self.f, self.g)
-        # phi = -f(z + phi, w + psi), psi = -g(z + phi, w + psi)
-        f, g = fr.holo(-self.f, 1), fr.holo(-self.g, k)
-        zero = ({}, {})
-        phi, psi = zero, zero
-        for _ in range(N):
-            bases = (phi, (), psi)
-            phi2 = _shifted(f, k, bases, N - k + 1)
-            psi2 = _shifted(g, k, bases, N)
-            if phi2 == phi and psi2 == psi:
-                break
-            phi, psi = phi2, psi2
+        # phi(z + f, w + g) = -f through N - k + 1, psi(z + f, w + g) = -g
+        bases = (fr.holo(self.f, 1), (), fr.holo(self.g, k))
+        phi = _unshift(fr.holo(-self.f, 1), k, bases, N - k + 1)
+        psi = _unshift(fr.holo(-self.g, k), k, bases, N)
         phi, psi = fr.holo_out(phi, 1, N), fr.holo_out(psi, k, N)
         linv = self.linear.inverse()
         # T^-1 = L^-1 o (L o U^-1 o L^-1): conjugate U^-1 forward through L
@@ -325,26 +316,7 @@ def _graph_transform(Fx: dict, f: tuple, g: tuple, k: int, N: int) -> dict:
     # weights <= N - k + 1 can reach the image
     fre, fim = _restrict_frame(f, Fx, k, N - k + 1)
     gre, gim = _restrict_frame(g, Fx, k, N)
-    # every slice fed to the substitution has weight >= k
-    pp = _PowerProducts(((fre,), (fim,), (gre,)), N, k, k)
-    E = [{} for _ in range(N + 1)]
-    for S in (Fx, gim):
-        for (j, l, m), c in S.items():
-            bucket = E[j + l + k * m]
-            bucket[(j, l, m)] = bucket.get((j, l, m), 0) + c
-    acc = {}
-    for mu in range(k, N + 1):
-        D = _nonzero(E[mu])
-        E[mu] = {}
-        if not D:
-            continue
-        acc.update(D)
-        # each increment has min weight > its unit, so D's own bucket is
-        # left alone
-        _substitute((D,), k, pp, (E,), -1)
-    if any(c for bucket in E for c in bucket.values()):
-        raise InternalError("graph transform recursion left a residue")
-    return acc
+    return _unshift(_add_parts((Fx,), (gim,)), k, ((fre,), (fim,), (gre,)), N)[0]
 
 
 def pushforward(H: Hypersurface, T: FormalMap) -> Hypersurface:

@@ -12,7 +12,8 @@ from conftest import (
     rand_real_series,
     seeded,
 )
-from crnf.errors import StructuralError, TruncationError, UnsupportedTypeError
+from crnf import series
+from crnf.errors import InternalError, StructuralError, TruncationError, UnsupportedTypeError
 from crnf.series import (
     ComplexSeries,
     GaussRat,
@@ -357,6 +358,22 @@ class TestShiftU:
         F = RealSeries.monomial(3, 9, 0, 0, 2)
         with pytest.raises(StructuralError):
             shift_u(F, RealSeries.monomial(3, 9, 2, 0, 0))
+
+
+class TestUnshift:
+    def test_solves_the_substitution(self):
+        # G(x + x^2 y, y, u + x^4) = R, checked by substituting back
+        k, W = 3, 9
+        R = ({(3, 0, 0): 1, (1, 1, 1): Fraction(2, 3), (4, 2, 0): -5},)
+        bases = (({(2, 1, 0): 1},), (), ({(4, 0, 0): 1},))
+        G = series._unshift(R, k, bases, W)
+        assert series._shifted(G, k, bases, W) == R
+
+    def test_gain_zero_base_leaves_residue(self):
+        # x -> 2x: the increment x has the weight of the variable it
+        # replaces, so each slice's substitution lands on its own weight
+        with pytest.raises(InternalError, match="residue"):
+            series._unshift(({(1, 0, 0): 1},), 3, (({(1, 0, 0): 1},), (), ()), 6)
 
 
 class TestScaleW:

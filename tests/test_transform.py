@@ -12,7 +12,8 @@ from conftest import (
     rand_tail,
     seeded,
 )
-from crnf.errors import StructuralError, UnsupportedTypeError
+from crnf import transform
+from crnf.errors import InternalError, StructuralError, UnsupportedTypeError
 from crnf.hypersurface import Hypersurface
 from crnf.series import ComplexSeries, GaussRat, HoloSeries, RealSeries, rat, to_real_basis
 from crnf.transform import (
@@ -166,6 +167,48 @@ class TestComposeInvert:
             assert pairs(got.f) == want_f
             assert pairs(got.g) == want_g
             assert got.linear == T1.linear.compose(T2.linear)
+
+    def test_inverse_matches_oracle(self):
+        # T followed by its inverse, expanded by the oracle, is the identity
+        rng = seeded(314)
+        pairs = lambda h: {key: (c.re, c.im) for key, c in h.coeffs.items()}
+        gauss = lambda keys: {key: rand_gauss(rng, nonzero=True) for key in keys}
+        U = rand_unipotent(rng, 4, 10)
+        cases = [
+            # f = z^2: the inverse has a term at every weight 2 .. N - k + 1
+            FormalMap.from_parts(3, 14, {(2, 0): 1}),
+            # w-terms (j = 0, m >= 1) in f and g
+            FormalMap.from_parts(3, 9, gauss([(0, 1), (1, 1), (0, 2)]),
+                                 gauss([(0, 2), (1, 1), (0, 3)])),
+            # a dilation 7/11 and a large prime denominator
+            FormalMap(U.f + HoloSeries.monomial(4, 10, 3, 0, GaussRat(rat(1, 10007), 2)),
+                      U.g, LinearFactor(rat(7, 11), 3)),
+            # a dense map, as in the benchmark's map algebra
+            FormalMap(rand_dense_holo(rng, 4, 10, 2, 7), rand_dense_holo(rng, 4, 10, 5, 10)),
+        ]
+        for T in cases:
+            k, N = T.k, T.N
+            Ti = T.inverse()
+            lz = T.linear.z_factor()
+            assert oracle.compose_oracle(
+                pairs(T.f), pairs(T.g), pairs(Ti.f), pairs(Ti.g), k, N,
+                lz=(lz.re, lz.im), lw=T.linear.w_factor(k)) == ({}, {})
+            assert Ti.linear == T.linear.inverse()
+        # z -> z + z^2 inverts to z + sum_n (-1)^n C_n z^(n+1), C_n Catalan
+        assert cases[0].inverse().f.coeff(12, 0) == -58786
+
+    def test_failed_inverse_raises(self, monkeypatch):
+        real = transform._unshift
+
+        def perturbed(R, k, bases, W):
+            G = real(R, k, bases, W)
+            G[0][(W, 0, 0)] = G[0].get((W, 0, 0), 0) + 1
+            return G
+
+        monkeypatch.setattr(transform, "_unshift", perturbed)
+        T = FormalMap.from_parts(3, 9, {(2, 0): 1}, {(4, 0): 1})
+        with pytest.raises(InternalError, match="map inversion failed"):
+            T.inverse()
 
     def test_known_composition(self):
         # (z -> z + z^2) then (z -> z + z^2): z + z^2 + (z + z^2)^2
