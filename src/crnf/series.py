@@ -22,7 +22,9 @@ that, RealSeries and HoloSeries add a product (mul_upto), RealSeries the
 tests depends_on_u / depends_on_y, and ComplexSeries the reality test
 is_real.  Products, the restriction to a graph and substitutions run on
 Python ints in the integer frame of their inputs (Frame) and convert back
-once.  One kernel, _substitute, does every binomial Taylor substitution
+once.  The basis conversions run on ints too, over the lcm of their input's
+denominators, with a cached integer binomial table and no GaussRat math.
+One kernel, _substitute, does every binomial Taylor substitution
 h(x + b1, y + b2, u + b3) of the package.  Its two callers are _shifted,
 which evaluates one, and _unshift, which solves one for h weight by weight
 (the crnf.transform docstring names their consumers, budget and units).
@@ -55,8 +57,9 @@ class GaussRat:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # a Fraction is immutable, so one given is kept, not copied
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
@@ -155,7 +158,6 @@ class GaussRat:
 
 G_ZERO = GaussRat(0)
 G_ONE = GaussRat(1)
-G_I = GaussRat(0, 1)
 
 
 def i_pow(t: int) -> GaussRat:
@@ -732,55 +734,71 @@ def _unshift(R: tuple, k: int, bases: tuple, W: int) -> tuple:
 # x = (z + zbar)/2,  y = (z - zbar)/(2i)      and inversely
 # z = x + iy,        zbar = x - iy.
 # Both substitutions are weight preserving, so conversion is exact and
-# needs no re-truncation.  Each is a pair (p, q) of linear forms p0 A + p1 B
-# and q0 A + q1 B in the target variables A, B, standing for the first and
-# the second source variable.
-
-_HALF = GaussRat(Fraction(1, 2))
-_HALF_I = GaussRat(0, Fraction(1, 2))
-_XY_IN_Z = ((_HALF, _HALF), (-_HALF_I, _HALF_I))
-_Z_IN_XY = ((G_ONE, G_I), (G_ONE, -G_I))
-
+# needs no re-truncation.  With d = p + q, both read one integer table,
+# (1 + X)^p (1 - X)^q = sum_r K[r] X^r:
+#     x^p y^q      = 2^-d i^q sum_r K[r] z^r zbar^(d-r),
+#     z^p zbar^q   =         sum_r K[r] i^r x^(d-r) y^r.
+# They run on the integer numerators over D, the lcm of the input's
+# denominators, and each output coefficient leaves once as a fraction.
 
 @lru_cache(maxsize=None)
-def _expansion(p, q, j: int, l: int):
-    """(p0 A + p1 B)^j (q0 A + q1 B)^l over A^a B^b: dict (a, b) -> GaussRat."""
-    out = {}
-    for s in range(j + 1):
-        cs = binom(j, s) * p[0] ** s * p[1] ** (j - s)
-        for t in range(l + 1):
-            _acc_add(out, (s + t, j - s + l - t),
-                     cs * binom(l, t) * q[0] ** t * q[1] ** (l - t))
-    return out
-
-
-def _convert(f, sub) -> dict:
-    """The coefficients of f after the substitution sub of its first two
-    variables; the u exponent is kept."""
-    out = {}
-    for (j, l, m), c in f.coeffs.items():
-        for (a, b), g in _expansion(*sub, j, l).items():
-            _acc_add(out, (a, b, m), g * c)
-    return out
+def _binomial_table(p: int, q: int) -> tuple:
+    """The coefficients (lowest first) of (1 + X)^p (1 - X)^q, as ints."""
+    out = [0] * (p + q + 1)
+    for s in range(p + 1):
+        for t in range(q + 1):
+            out[s + t] += (-1) ** t * binom(p, s) * binom(q, t)
+    return tuple(out)
 
 
 def to_complex_basis(f: RealSeries) -> ComplexSeries:
     """Rewrite a real series over x^j y^l u^m in the z, zbar, u basis."""
-    return ComplexSeries._raw(f.k, f.N, _convert(f, _XY_IN_Z))
+    D = lcm(*(c.denominator for c in f.coeffs.values()))
+    parts = ({}, {})  # numerators of the real and imaginary parts, over D 2^d
+    for (p, q, m), c in f.coeffs.items():
+        # i^q is a sign and a slot
+        n = c.numerator * (D // c.denominator) * (-1 if q & 2 else 1)
+        out, d = parts[q & 1], p + q
+        get = out.get
+        for r, kr in enumerate(_binomial_table(p, q)):
+            if kr:
+                key = (r, d - r, m)
+                out[key] = get(key, 0) + n * kr
+    re, im = parts
+    coeffs = {}
+    for key in re.keys() | im.keys():
+        nr, ni = re.get(key, 0), im.get(key, 0)
+        if nr or ni:
+            den = D << (key[0] + key[1])
+            coeffs[key] = GaussRat(Fraction(nr, den), Fraction(ni, den))
+    return ComplexSeries._raw(f.k, f.N, coeffs)
 
 
 def to_real_basis(f: ComplexSeries) -> RealSeries:
     """Rewrite a complex-basis series over x, y, u.  The input must satisfy
     the reality symmetry c_{jlm} = conj(c_{ljm}); otherwise the substitution
-    z = x + iy leaves imaginary parts and a StructuralError is raised."""
-    real = {}
-    for key, v in _convert(f, _Z_IN_XY).items():
-        if v.im != 0:
-            raise StructuralError(
-                f"series is not real: monomial x^{key[0]} y^{key[1]} u^{key[2]} "
-                f"has imaginary coefficient {v.im}")
-        real[key] = v.re
-    return RealSeries._raw(f.k, f.N, real)
+    z = x + iy leaves imaginary parts and a StructuralError names the lowest
+    such monomial (by weight, then key)."""
+    D = lcm(*(x.denominator for c in f.coeffs.values() for x in (c.re, c.im)))
+    re, im = {}, {}
+    for (p, q, m), c in f.coeffs.items():
+        nr = c.re.numerator * (D // c.re.denominator)
+        ni = c.im.numerator * (D // c.im.denominator)
+        rot = ((nr, ni), (-ni, nr), (-nr, -ni), (ni, -nr))  # i^r (nr + i ni)
+        d = p + q
+        for r, kr in enumerate(_binomial_table(p, q)):
+            if kr:
+                key = (d - r, r, m)
+                a, b = rot[r & 3]
+                re[key] = re.get(key, 0) + a * kr
+                im[key] = im.get(key, 0) + b * kr
+    bad = [key for key, v in im.items() if v]
+    if bad:
+        key = min(bad, key=lambda key: (f.weight(key), key))
+        raise StructuralError(
+            f"series is not real: monomial x^{key[0]} y^{key[1]} u^{key[2]} "
+            f"has imaginary coefficient {Fraction(im[key], D)}")
+    return RealSeries._raw(f.k, f.N, {key: Fraction(v, D) for key, v in re.items() if v})
 
 
 def restrict_to_M(h: HoloSeries, F: RealSeries):

@@ -2,8 +2,10 @@
 
 Deliberately shares no code with the package: plain dicts keyed by
 (j, l, m) exponent tuples, coefficients stored as (re, im) pairs of
-Fractions, no truncation during arithmetic (truncation happens once, at
-comparison time), no weight recursion, no caching.  Slow and simple.
+Fractions, no weight recursion.  The only truncation is a weight bound on
+products (pmul, ppow), which drops a monomial above weight N as it is
+formed; that is exact because every weight is >= 0 and weights only add.
+Slow and simple.
 """
 
 from fractions import Fraction
@@ -59,21 +61,24 @@ def pscale(P, c):
     return {key: cmulc(v, c) for key, v in P.items()}
 
 
-def pmul(P, Q):
+def pmul(P, Q, k=None, N=None):
+    """P * Q; given k and N, no monomial of weight j + l + k m > N is formed."""
     out = {}
     for (j1, l1, m1), c1 in P.items():
         if c1 == CZERO:
             continue
         for (j2, l2, m2), c2 in Q.items():
             key = (j1 + j2, l1 + l2, m1 + m2)
+            if N is not None and key[0] + key[1] + k * key[2] > N:
+                continue
             out[key] = cadd(out.get(key, CZERO), cmulc(c1, c2))
     return out
 
 
-def ppow(P, n):
+def ppow(P, n, k=None, N=None):
     out = {(0, 0, 0): CONE}
     for _ in range(n):
-        out = pmul(out, P)
+        out = pmul(out, P, k, N)
     return out
 
 
@@ -127,12 +132,12 @@ def restrict_oracle(hcoeffs, k, Fdict, N):
     """h(x+iy, u+iF) for h given as dict (j, m) -> (re, im).
 
     Returns the pair (Re, Im) as plain real-coefficient dicts truncated at
-    weight N.  Computed by raw expansion of powers, no shortcuts.
+    weight N.  Computed by expansion of powers, each product bounded at N.
     """
     W = padd(U, pscale(Fdict, CI))
     total = {}
     for (j, m), c in hcoeffs.items():
-        term = pmul(ppow(Z, j), ppow(W, m))
+        term = pmul(ppow(Z, j, k, N), ppow(W, m, k, N), k, N)
         total = padd(total, pscale(term, c))
     total = ptrunc(total, k, N)
     re = {key: c[0] for key, c in total.items() if c[0] != 0}
@@ -150,20 +155,15 @@ def subst_xyu(P, k, Xs, Ys, Us, N):
 
     def power(cache, base, n):
         if n not in cache:
-            # truncating cached powers is exact here: every substitute has
-            # min weight >= the weight of the variable it replaces, so a
-            # dropped term can never re-enter the range below N
-            cache[n] = ptrunc(pmul(power(cache, base, n - 1), base), k, N)
+            cache[n] = pmul(power(cache, base, n - 1), base, k, N)
         return cache[n]
 
     out = {}
     for (j, l, m), c in P.items():
-        term = pmul(power(xp, Xs, j), power(yp, Ys, l))
-        term = pmul(term, power(up, Us, m))
+        term = pmul(power(xp, Xs, j), power(yp, Ys, l), k, N)
+        term = pmul(term, power(up, Us, m), k, N)
         out = padd(out, pscale(term, c))
-        out = ptrunc(out, k, N)  # keep sizes bounded; safe because the
-        # substitutes never lower weight in our uses
-    return out
+    return ptrunc(out, k, N)
 
 
 def pushforward_oracle(Fdict, k, N, fcoeffs, gcoeffs):
@@ -204,9 +204,9 @@ def compose_oracle(f1, g1, f2, g2, k, N, lz=CONE, lw=Fraction(1)):
         f = f1 + f2(Z, W) / lz,   g = g1 + g2(Z, W) / lw,
         Z = lz (z + f1),          W = lw (w + g1).
 
-    Maps are dicts (j, m) -> (re, im) for z^j w^m.  The substitution is raw
-    expansion of powers with no truncation; f is cut at weight N - k + 1
-    and g at N only at the end.
+    Maps are dicts (j, m) -> (re, im) for z^j w^m.  The substitution is
+    expansion of powers with each product bounded at weight N; f is cut at
+    weight N - k + 1 and g at N at the end.
     """
     hol = lambda h: {(j, 0, m): c for (j, m), c in h.items()}
     Zs = pscale(padd({(1, 0, 0): CONE}, hol(f1)), lz)
@@ -215,7 +215,7 @@ def compose_oracle(f1, g1, f2, g2, k, N, lz=CONE, lw=Fraction(1)):
     def subst(h):
         out = {}
         for (j, m), c in h.items():
-            out = padd(out, pscale(pmul(ppow(Zs, j), ppow(Ws, m)), c))
+            out = padd(out, pscale(pmul(ppow(Zs, j, k, N), ppow(Ws, m, k, N), k, N), c))
         return out
 
     n2 = lz[0] * lz[0] + lz[1] * lz[1]

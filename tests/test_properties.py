@@ -1,11 +1,12 @@
-"""Property tests of the map algebra, of t-normalization and of tube
-equivalence on rational coefficients whose denominators reach 10^6 (the seeded tests draw
-denominators up to 4).
+"""Property tests of the map algebra, of t-normalization, of tube
+equivalence and of the basis conversions on rational coefficients whose
+denominators reach 10^6 (the seeded tests draw denominators up to 4).
 
 The runs are derandomized and bounded: the same examples every time."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,9 @@ import oracle
 from crnf.equivalence import tube_equivalent
 from crnf.hypersurface import Hypersurface
 from crnf.normalize import t_normalize
-from crnf.series import GaussRat, HoloSeries, RealSeries
+from crnf.errors import StructuralError
+from crnf.series import (ComplexSeries, GaussRat, HoloSeries, RealSeries,
+                         to_complex_basis, to_real_basis)
 from crnf.transform import FormalMap, LinearFactor, pushforward, pushforward_series
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40,
@@ -40,10 +43,15 @@ def maps(draw, k, N, unipotent=False):
     return FormalMap(HoloSeries(k, N, f), HoloSeries(k, N, g), linear)
 
 
+def monomials(k, N):
+    """Every key (j, l, m) of weight <= N."""
+    return [(j, w - k * m - j, m) for w in range(N + 1)
+            for m in range(w // k + 1) for j in range(w - k * m + 1)]
+
+
 @st.composite
 def graphs(draw, k, N, t_normal=False):
-    keys = [(j, w - k * m - j, m) for w in range(k + 1, N + 1)
-            for m in range(w // k + 1) for j in range(w - k * m + 1)]
+    keys = [(j, l, m) for j, l, m in monomials(k, N) if j + l + k * m > k]
     if t_normal:
         # no x^0, x^1, x^(k-1), x^k family and no x^(2k-1), x^(2k-1) y term
         keys = [(j, l, m) for j, l, m in keys
@@ -104,3 +112,61 @@ def test_planted_tube_witness_is_sound(data):
     for j, v in uF.items():
         inner[j] = inner.get(j, Fraction(0)) - w.b * v
     assert oracle.ucompose_trunc(uG, inner, N) == {j: w.c * v for j, v in uF.items()}
+
+
+def oracle_expansion(C):
+    """sum c Z^a ZBAR^b U^m over the terms of C, in the oracle's arithmetic."""
+    out = {}
+    for (a, b, m), c in C.coeffs.items():
+        term = oracle.pmul(oracle.ppow(oracle.Z, a), oracle.ppow(oracle.ZBAR, b))
+        term = oracle.pmul(term, oracle.ppow(oracle.U, m))
+        out = oracle.padd(out, oracle.pscale(term, (c.re, c.im)))
+    return oracle.pclean(out)
+
+
+def as_complex(R):
+    return {key: (c, Fraction(0)) for key, c in R.coeffs.items()}
+
+
+@PROPERTY
+@given(st.data())
+def test_to_complex_basis_matches_oracle(data):
+    k, N = data.draw(type_and_weight)
+    f = RealSeries(k, N, data.draw(
+        st.dictionaries(st.sampled_from(monomials(k, N)), nonzero, max_size=6)))
+    C = to_complex_basis(f)
+    assert to_real_basis(C) == f
+    assert oracle_expansion(C) == as_complex(f)
+
+
+@PROPERTY
+@given(st.data())
+def test_to_real_basis_matches_oracle(data):
+    k, N = data.draw(type_and_weight)
+    keys = monomials(k, N)
+    half = data.draw(st.dictionaries(
+        st.sampled_from([(a, b, m) for a, b, m in keys if a >= b]), gauss, max_size=6))
+    # the reality symmetry c_{bam} = conj(c_{abm}); c_{aam} is real
+    coeffs = {}
+    for (a, b, m), c in half.items():
+        if a > b:
+            coeffs[(a, b, m)], coeffs[(b, a, m)] = c, c.conj()
+        else:
+            coeffs[(a, b, m)] = GaussRat(c.re)
+    C = ComplexSeries(k, N, coeffs)
+    R = to_real_basis(C)
+    assert oracle_expansion(C) == as_complex(R)
+    assert to_complex_basis(R) == C
+
+    # one term moved off the symmetry makes the series non-real, and the
+    # error names the lowest imaginary monomial of the oracle's expansion
+    key = data.draw(st.sampled_from(keys))
+    delta = data.draw(gauss)
+    if key[0] == key[1] and not delta.im:
+        delta = GaussRat(delta.re, 1)
+    bad = C + ComplexSeries(k, N, {key: delta})
+    assert not bad.is_real()
+    imag = [key for key, c in oracle_expansion(bad).items() if c[1]]
+    j, l, m = min(imag, key=lambda t: (t[0] + t[1] + k * t[2], t))
+    with pytest.raises(StructuralError, match=rf"monomial x\^{j} y\^{l} u\^{m} "):
+        to_real_basis(bad)

@@ -239,8 +239,16 @@ class TestBasisConversion:
     def test_reality_violation_raises(self):
         c = ComplexSeries(3, 6, {(1, 0, 0): GaussRat(1)})  # z alone is not real
         assert not c.is_real()
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match=r"^series is not real: monomial "
+                           r"x\^0 y\^1 u\^0 has imaginary coefficient 1$"):
             to_real_basis(c)
+        # z^2 + z/3 = x^2 - y^2 + x/3 + i (2xy + y/3): the error names the
+        # lowest imaginary monomial, y, whatever the order of the input
+        terms = [((2, 0, 0), 1), ((1, 0, 0), rat(1, 3))]
+        for order in (terms, terms[::-1]):
+            with pytest.raises(StructuralError, match=r"^series is not real: monomial "
+                               r"x\^0 y\^1 u\^0 has imaginary coefficient 1/3$"):
+                to_real_basis(ComplexSeries(3, 6, dict(order)))
 
     def test_weights_preserved(self):
         rng = seeded(105)
