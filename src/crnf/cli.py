@@ -384,6 +384,14 @@ def _build_parser():
     return p
 
 
+# the exit code of each error reported as "error: <message>"
+_EXIT_CODES = {InternalError: 4, SingularSystemError: 3, InputError: 2}
+
+
+def _exit_code(exc) -> int:
+    return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+
+
 def _dispatch(args):
     """List of (label, exit code, report, text lines), one per input."""
     if args.command == "tube-equiv":
@@ -405,12 +413,9 @@ def _dispatch(args):
         if args.each:
             try:
                 code, report, lines = handler(path)
-            except InternalError as exc:
-                code, report, lines = 4, {"error": str(exc)}, [f"error: {exc}"]
-            except SingularSystemError as exc:
-                code, report, lines = 3, {"error": str(exc)}, [f"error: {exc}"]
-            except InputError as exc:
-                code, report, lines = 2, {"error": str(exc)}, [f"error: {exc}"]
+            except tuple(_EXIT_CODES) as exc:
+                code, report, lines = (_exit_code(exc), {"error": str(exc)},
+                                       [f"error: {exc}"])
             entries.append((path, code, report, lines))
         else:
             entries.append((None,) + handler(path))
@@ -421,15 +426,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         entries = _dispatch(args)
-    except InternalError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except SingularSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _exit_code(exc)
     if args.json:
         if entries[0][0] is None:
             print(json.dumps(entries[0][2], indent=2))

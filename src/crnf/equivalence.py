@@ -24,7 +24,7 @@ from .errors import (
 from .hypersurface import Hypersurface
 from .normalize import NormalFormKind, check
 from .series import Frame, GaussRat, RealSeries, _shifted
-from .transform import FormalMap, LinearFactor, pushforward_series
+from .transform import FormalMap, LinearFactor, apply_linear_series, pushforward_series
 
 
 def _int_nth_root(n, r):
@@ -274,7 +274,9 @@ def rigid_equivalence_reduce(H1: Hypersurface, H2: Hypersurface):
     Returns LinearFactor(delta, 0) when the dilation is rational, a
     RadicalReal when it exists but is irrational, and None when no real
     dilation matches.  When only even exponents constrain delta, the
-    positive root is returned (the negative works equally well).
+    positive root is returned (the negative works equally well).  A
+    rational dilation is checked to carry H1 to H2 through that weight
+    before it is returned; InternalError if it does not.
     """
     for name, H in (("H1", H1), ("H2", H2)):
         if not H.tube_form:
@@ -303,5 +305,8 @@ def rigid_equivalence_reduce(H1: Hypersurface, H2: Hypersurface):
         return None
     delta, _ambiguous = matched
     if isinstance(delta, Fraction):
-        return LinearFactor(delta, 0)
+        L = LinearFactor(delta, 0)
+        if apply_linear_series(H1.F.truncate(N), L) != H2.F.truncate(N):
+            raise InternalError("matched dilation does not carry H1 to H2")
+        return L
     return delta

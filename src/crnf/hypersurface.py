@@ -27,7 +27,9 @@ from .errors import (
 from .series import (
     ComplexSeries,
     GaussRat,
+    HoloSeries,
     RealSeries,
+    restrict_to_M,
     scale_w,
     shift_u,
     to_complex_basis,
@@ -270,16 +272,7 @@ def prenormalize_tube(F: RealSeries):
     c_h = (GaussRat(Fraction(1, 2 ** k)) - p) * GaussRat(0, 2)
     if c_h:
         # v gains Im(c z^k) while u must be read at u - Re(c z^k)
-        re_part = {}
-        im_part = {}
-        half = c_h * Fraction(1, 2)
-        re_part[(k, 0, 0)] = half
-        re_part[(0, k, 0)] = half.conj()
-        mi_half = half.times_i_power(3)  # c/(2i) = -i c/2
-        im_part[(k, 0, 0)] = mi_half
-        im_part[(0, k, 0)] = mi_half.conj()
-        re_s = to_real_basis(ComplexSeries(k, N, re_part))
-        im_s = to_real_basis(ComplexSeries(k, N, im_part))
+        re_s, im_s = restrict_to_M(HoloSeries.monomial(k, N, k, 0, c_h), G)
         G = shift_u(G, -re_s) + im_s
 
     H = Hypersurface.validate(G, k)

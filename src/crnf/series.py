@@ -20,14 +20,15 @@ A subclass fixes the coefficient ring: fractions.Fraction for RealSeries,
 GaussRat (a pair of Fractions) for HoloSeries and ComplexSeries.  Beyond
 that, RealSeries and HoloSeries add a product (mul_upto), RealSeries the
 tests depends_on_u / depends_on_y, and ComplexSeries the reality test
-is_real.  Products, the restriction to a graph and substitutions run on
-Python ints in the integer frame of their inputs (Frame) and convert back
-once.  The basis conversions run on ints too, over the lcm of their input's
-denominators, with a cached integer binomial table and no GaussRat math.
-One kernel, _substitute, does every binomial Taylor substitution
-h(x + b1, y + b2, u + b3) of the package.  Its two callers are _shifted,
-which evaluates one, and _unshift, which solves one for h weight by weight
-(the crnf.transform docstring names their consumers, budget and units).
+is_real.  Products, the restriction to a graph and substitutions share one
+kernel, on Python ints in the integer frame of their inputs (Frame), and
+convert back once.  The basis conversions run on ints too, over the lcm of
+their input's denominators, with a cached integer binomial table.  That
+kernel, _substitute, does every binomial Taylor substitution
+h(x + b1, y + b2, u + b3) over power products that only _PowerProducts
+forms; _shifted evaluates one, the restriction h(x + iy, u + iF) among them,
+and _unshift solves one weight by weight (the crnf.transform docstring
+names every consumer and unit).
 
 Zero coefficients are dropped on construction and after every operation,
 so equality of series is plain structural equality of (k, N, coeffs).
@@ -539,61 +540,6 @@ def _mul_parts(a: tuple, b: tuple, W: int, k: int) -> tuple:
     return _nonzero(re), _nonzero(im)
 
 
-def _zpow(j: int):
-    """(x + iy)^j as a complex frame value (integer binomial coefficients)."""
-    re, im = {}, {}
-    for t in range(j + 1):
-        r = t & 3
-        (re if r % 2 == 0 else im)[(j - t, t, 0)] = binom(j, t) if r < 2 else -binom(j, t)
-    return re, im
-
-
-def _restrict_frame(h, F: dict, k: int, W: int):
-    """h(x + iy, u + iF) through weight W, in the frame: h is a complex frame
-    value keyed (j, 0, m) and F a real one; returns the pair (Re, Im)."""
-    hr, hi = h
-    by_m = {}
-    for key in sorted(hr.keys() | hi.keys()):
-        j, _, m = key
-        by_m.setdefault(m, []).append((j, hr.get(key, 0), hi.get(key, 0)))
-    if not by_m:
-        return {}, {}
-    top = max(by_m)
-
-    # (u + iF)^m feeds each term z^j' w^m' with m' >= m, which uses it only
-    # through W - j' - wmin (m' - m), where wmin is the lowest weight in u + iF
-    fmin = _min_weight((F,), k)
-    wmin = k if fmin is None else min(k, fmin)
-    need = {}
-    low = None
-    for m in range(top, -1, -1):
-        cands = [j for j, _, _ in by_m.get(m, ())]
-        if low is not None:
-            cands.append(low + wmin)
-        low = min(cands)
-        need[m] = W - low
-
-    wpow = ({(0, 0, 0): 1}, {})  # w^0 = 1
-    w_pair = _sorted_parts(({(0, 0, 1): 1}, F), k)  # u + iF
-    out_re, out_im = {}, {}
-    for m in range(top + 1):
-        if m:
-            wpow = _mul_parts(wpow, w_pair, need[m], k)
-        if m not in by_m:
-            continue
-        wsorted = _sorted_parts(wpow, k)
-        for j, cr, ci in by_m[m]:
-            tr, ti = _mul_parts(_zpow(j), wsorted, W, k)
-            # add (cr + i ci) * (tr + i ti) to the accumulators
-            for out, part, x in ((out_re, tr, cr), (out_re, ti, -ci),
-                                 (out_im, tr, ci), (out_im, ti, cr)):
-                if x:
-                    get = out.get
-                    for key, v in part.items():
-                        out[key] = get(key, 0) + x * v
-    return _nonzero(out_re), _nonzero(out_im)
-
-
 class _PowerProducts:
     """Lazily cached products b1^t1 b2^t2 b3^t3 of the increments (b1, b2, b3)
     of x, y and u, of weights 1, 1 and k.  Each base is a frame value: (re,)
@@ -751,6 +697,23 @@ def _binomial_table(p: int, q: int) -> tuple:
     return tuple(out)
 
 
+def _z_to_xy(terms):
+    """The sum of (nr + i ni) z^p zbar^q u^m over the given ((p, q, m), nr,
+    ni), with int or frame values nr, ni, rewritten over x^j y^l u^m: the
+    pair (re, im) of dicts, zeros left in."""
+    re, im = {}, {}
+    for (p, q, m), nr, ni in terms:
+        rot = ((nr, ni), (-ni, nr), (-nr, -ni), (ni, -nr))  # i^r (nr + i ni)
+        d = p + q
+        for r, kr in enumerate(_binomial_table(p, q)):
+            if kr:
+                key = (d - r, r, m)
+                a, b = rot[r & 3]
+                re[key] = re.get(key, 0) + a * kr
+                im[key] = im.get(key, 0) + b * kr
+    return re, im
+
+
 def to_complex_basis(f: RealSeries) -> ComplexSeries:
     """Rewrite a real series over x^j y^l u^m in the z, zbar, u basis."""
     D = lcm(*(c.denominator for c in f.coeffs.values()))
@@ -780,18 +743,9 @@ def to_real_basis(f: ComplexSeries) -> RealSeries:
     z = x + iy leaves imaginary parts and a StructuralError names the lowest
     such monomial (by weight, then key)."""
     D = lcm(*(x.denominator for c in f.coeffs.values() for x in (c.re, c.im)))
-    re, im = {}, {}
-    for (p, q, m), c in f.coeffs.items():
-        nr = c.re.numerator * (D // c.re.denominator)
-        ni = c.im.numerator * (D // c.im.denominator)
-        rot = ((nr, ni), (-ni, nr), (-nr, -ni), (ni, -nr))  # i^r (nr + i ni)
-        d = p + q
-        for r, kr in enumerate(_binomial_table(p, q)):
-            if kr:
-                key = (d - r, r, m)
-                a, b = rot[r & 3]
-                re[key] = re.get(key, 0) + a * kr
-                im[key] = im.get(key, 0) + b * kr
+    re, im = _z_to_xy((key, c.re.numerator * (D // c.re.denominator),
+                       c.im.numerator * (D // c.im.denominator))
+                      for key, c in f.coeffs.items())
     bad = [key for key, v in im.items() if v]
     if bad:
         key = min(bad, key=lambda key: (f.weight(key), key))
@@ -801,11 +755,23 @@ def to_real_basis(f: ComplexSeries) -> RealSeries:
     return RealSeries._raw(f.k, f.N, {key: Fraction(v, D) for key, v in re.items() if v})
 
 
+def _restrict_frame(h, F: dict, k: int, W: int):
+    """h(x + iy, u + iF) through weight W, in the frame: h is a complex frame
+    value keyed (j, 0, m) and F a real one of min weight >= k; returns the
+    pair (Re, Im).  z -> x + iy keeps weight (_z_to_xy), and iF is a complex
+    increment of u of gain >= 0."""
+    hr, hi = h
+    P = _z_to_xy((key, hr.get(key, 0), hi.get(key, 0))
+                 for key in hr.keys() | hi.keys() if key[0] + k * key[2] <= W)
+    return _shifted(tuple(_nonzero(p) for p in P), k, ((), (), ({}, F)), W)
+
+
 def restrict_to_M(h: HoloSeries, F: RealSeries):
     """Value of h(z, w) on the graph v = F(x, y, u), i.e. h(x+iy, u+iF).
 
     Returns the pair (Re, Im) of RealSeries truncated at h.N.  Requires
-    h.k == F.k and h.N <= F.N.
+    h.k == F.k, h.N <= F.N and no monomial of F below weight k (the
+    increment iF of u must not lower a weight); otherwise StructuralError.
     """
     if not isinstance(h, HoloSeries) or not isinstance(F, RealSeries):
         raise StructuralError("restrict_to_M expects (HoloSeries, RealSeries)")
@@ -814,6 +780,9 @@ def restrict_to_M(h: HoloSeries, F: RealSeries):
     if h.N > F.N:
         raise StructuralError(f"h.N = {h.N} exceeds F.N = {F.N}")
     k, N = h.k, h.N
+    if F.coeffs and F.min_weight() < k:
+        raise StructuralError(
+            f"graph has a monomial of weight {F.min_weight()} < k = {k}")
     # h stands for no particular weight (unit 0); v = F has the weight of u
     fr = Frame(k, h, F)
     re, im = _restrict_frame(fr.holo(h, 0), fr.real(F, k), k, N)

@@ -15,11 +15,13 @@ so FormalMap drops them canonically and equality of maps is structural.
 One substitution kernel: every binomial Taylor substitution of the package,
 h(x + b1, y + b2, u + b3) expanded over cached power products of the
 increments, runs in one kernel of crnf.series.  crnf.series._shifted
-evaluates it for compose (h(z + f, w + g)), shift_u (F(x, y, u + P)) and
-the tube witness (G(ax - bF) = G_a(x + P), G_a(x) = G(ax), P = -(b/a) F).
-crnf.series._unshift solves it weight by weight for the graph transform
-(below) and inverse: U^-1 = (z + phi, w + psi) has phi(z + f, w + g) = -f
-and psi(z + f, w + g) = -g.
+evaluates it for compose (h(z + f, w + g)), shift_u (F(x, y, u + P)), the
+tube witness (G(ax - bF) = G_a(x + P), G_a(x) = G(ax), P = -(b/a) F) and
+the restriction of f and g to the graph (h(x + iy, u + iF): z -> x + iy
+is a basis change, and iF a complex increment of u).  crnf.series._unshift
+solves it weight by weight for the graph transform (below) and inverse:
+U^-1 = (z + phi, w + psi) has phi(z + f, w + g) = -f and
+psi(z + f, w + g) = -g.
 
 Weight budget: every product here is formed only through the weight its
 consumer can use.  A product that stands in for factors of total weight v
@@ -30,21 +32,23 @@ consumer terms (the min weight of the substituted series, or of the right
 side that _unshift solves for), and W is N - k + 1 for the f part of a map
 (and for Re f|M, Im f|M in the graph transform) and N otherwise.  Nothing
 above a budget can reach a kept coefficient, so the results are the same as
-with products through N.  This needs each increment to have min weight >=
-the weight of the variable it replaces (shift_u gets -Re(c z^k), of weight
-exactly k); _unshift needs > (see there).
+with products through N.  This needs the gain of each increment, its min
+weight less that of the variable it replaces, >= 0 for _shifted (shift_u's
+-Re(c z^k) and the restriction's iF have gain 0, so a graph may have no
+monomial below weight k) and > 0 for _unshift (see there).
 
-Integer frame: the five consumers and the restriction to the graph run on
-Python ints.  Each conjugates its inputs by the dilation z -> D z,
-w -> D^k w, where D is the lcm of the denominators of every input
-coefficient (crnf.series.Frame).  A coefficient c on a monomial of weight w
-becomes c D^(w - unit), where the unit is the weight of what the series
-stands for:
+Integer frame: the six consumers of the kernel (the restriction to the
+graph among them) run on Python ints.  Each conjugates its inputs by the
+dilation z -> D z, w -> D^k w, where D is the lcm of the denominators of
+every input coefficient (crnf.series.Frame).  A coefficient c on a monomial
+of weight w becomes c D^(w - unit), where the unit is the weight of what
+the series stands for:
 
     series                        unit   lowest w   w - unit
     graph F, image G, targets       k       k          >= 0
     g, psi, Re g|M, Im g|M          k       k + 1      >= 1
     f, phi, Re f|M, Im f|M          1       2          >= 1
+    iF of the restriction           k       k          >= 0
     F of shift_u                    0       any        >= 0
     P of shift_u                    k       k          >= 0
     G_a of the tube witness         0       k          >= k

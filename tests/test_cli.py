@@ -355,8 +355,11 @@ class TestBatchAndEnv:
             raise SingularSystemError("forced")
 
         monkeypatch.setattr("crnf.cli.t_normalize", boom)
-        rc, _, err = run(capsys, ["tnormal", srs(tmp_path, "f.srs", X4)])
+        path = srs(tmp_path, "f.srs", X4)
+        rc, _, err = run(capsys, ["tnormal", path])
         assert rc == 3 and "forced" in err
+        rc, out, _ = run(capsys, ["tnormal", "--each", path, path])
+        assert rc == 3 and out.count("error: forced") == 2
 
     def test_internal_error_maps_to_4(self, tmp_path, monkeypatch, capsys):
         from crnf.errors import InternalError

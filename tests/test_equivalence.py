@@ -315,6 +315,14 @@ class TestRigidReduce:
         assert rigid_equivalence_reduce(H1, H2) == LinearFactor(3, 0)
         assert rigid_equivalence_reduce(H2, H1) == LinearFactor(Q(1, 3), 0)
 
+    def test_wrong_dilation_raises(self, monkeypatch):
+        H1 = self.H(3, 9, {(4, 1, 0): 1, (5, 1, 0): Q(2, 3)})
+        H2 = Hypersurface.validate(apply_linear_series(H1.F, LinearFactor(3, 0)), 3)
+        monkeypatch.setattr("crnf.equivalence._match_power_ratios",
+                            lambda pairs: (Q(2), False))
+        with pytest.raises(InternalError, match="does not carry H1 to H2"):
+            rigid_equivalence_reduce(H1, H2)
+
     def test_incompatible_exponents(self):
         H1 = self.H(3, 9, {(4, 1, 0): 1, (5, 1, 0): 1})
         H2 = self.H(3, 9, {(4, 1, 0): Q(1, 4), (5, 1, 0): 1})

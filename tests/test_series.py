@@ -10,6 +10,7 @@ from conftest import (
     rand_holo,
     rand_hypersurface_series,
     rand_real_series,
+    rand_tail,
     seeded,
 )
 from crnf import series
@@ -303,6 +304,17 @@ class TestRestrictToM:
                            rand_hypersurface_series(rng, k, N, nterms=4)))
             inputs.append((rand_dense_holo(rng, k, N, k + 1, N),
                            rand_hypersurface_series(rng, k, N, nterms=4)))
+        # general models with mixed terms at weight k, such as x^4 + 2x^2y^2:
+        # every weight-k term of iF is an increment of gain 0
+        def c():
+            return rand_frac(rng, nonzero=True)
+        for k, N, model in [(3, 9, {(3, 0, 0): 1, (1, 2, 0): c()}),
+                            (4, 12, {(4, 0, 0): 1, (2, 2, 0): 2}),
+                            (4, 12, {(2, 2, 0): 1, (3, 1, 0): c(), (0, 4, 0): c()}),
+                            (5, 12, {(5, 0, 0): 1, (3, 2, 0): c(), (1, 4, 0): c()})]:
+            F = RealSeries(k, N, model) + rand_tail(rng, k, N, nterms=4)
+            inputs.append((rand_holo(rng, k, N, nterms=6, min_wt=0), F))
+            inputs.append((rand_dense_holo(rng, k, N, k + 1, N, density=0.3), F))
         for h, F in inputs:
             re, im = restrict_to_M(h, F)
             want_re, want_im = oracle.restrict_oracle(
@@ -326,6 +338,11 @@ class TestRestrictToM:
             restrict_to_M(HoloSeries.monomial(4, 9, 1, 0), F)
         with pytest.raises(StructuralError):
             restrict_to_M(HoloSeries.monomial(3, 12, 1, 0), F)
+        # a graph monomial below weight k would lower weights under u -> u + iF
+        low = F + RealSeries.monomial(3, 9, 2, 0, 0)
+        with pytest.raises(StructuralError,
+                           match=r"^graph has a monomial of weight 2 < k = 3$"):
+            restrict_to_M(HoloSeries.monomial(3, 9, 0, 1), low)
 
 
 class TestShiftU:
