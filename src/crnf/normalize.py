@@ -27,7 +27,7 @@ from .errors import (
 )
 from .hypersurface import Hypersurface, essential_type
 from .linsolve import invert
-from .series import Frame, GaussRat, RealSeries, rat
+from .series import Frame, GaussRat, RealSeries, _key, rat
 from .transform import FormalMap, _compose_frame, _graph_transform
 
 _TAGS = ("t", "t-ab", "rigid", "nt", "stanton", "ko1-nontube", "ko1-tube", "ko1-half")
@@ -345,16 +345,23 @@ def weight_system(k, mode, mu):
     cols = [_column(k, s[0], s[1], s[2], s[3]) for s in slots]
     matrix = [[cols[c].get(r, Fraction(0)) for c in range(len(slots))] for r in rows]
     inv = invert(matrix) if rows else []
-    _system_cache[key] = (rows, slots, matrix, inv, _integer_inverse(inv))
+    _system_cache[key] = (rows, slots, matrix, inv, _frame_system(k, rows, slots, inv))
     return rows, slots, matrix, inv
 
 
-def _integer_inverse(inv):
-    """(delta, rows): delta is the lcm of the denominators of inv, and each
-    row lists the pairs (column, n) with inv[row][column] = n / delta, n != 0."""
+def _frame_system(k, rows, slots, inv):
+    """The weight system in the form _solve uses on frame values:
+    (row_keys, slot_keys, delta, irows).  row_keys are the frame keys of the
+    condition monomials; slot_keys[c] is (which, part, key) for the slot
+    (which, j, m, part) of column c, with key the frame key of z^j w^m.  delta is the lcm of the denominators
+    of inv, and each of irows lists the pairs (column, n) with
+    inv[row][column] = n / delta, n != 0."""
     delta = lcm(*(a.denominator for row in inv for a in row))
-    return delta, [[(c, a.numerator * (delta // a.denominator))
-                    for c, a in enumerate(row) if a] for row in inv]
+    irows = [[(c, a.numerator * (delta // a.denominator))
+              for c, a in enumerate(row) if a] for row in inv]
+    row_keys = [_key(j, l, m, k) for j, l, m in rows]
+    slot_keys = [(which, part, _key(j, 0, m, k)) for which, j, m, part in slots]
+    return row_keys, slot_keys, delta, irows
 
 
 def _solve(H, mode, targets):
@@ -373,10 +380,10 @@ def _solve(H, mode, targets):
         report.append((mu, len(slots), len(rows)))
         if not rows:
             continue
-        rhs = [Fx.get(r, 0) - tx.get(r, 0) for r in rows]
+        row_keys, slot_keys, delta, irows = _system_cache[(k, mode, mu)][4]
+        rhs = [Fx.get(key, 0) - tx.get(key, 0) for key in row_keys]
         if not any(rhs):
             continue
-        delta, irows = _system_cache[(k, mode, mu)][4]
         nums = [sum(n * rhs[c] for c, n in row) for row in irows]
         # the solution is nums / delta; in lowest terms its denominator is r
         r = delta // gcd(delta, *nums)
@@ -384,12 +391,12 @@ def _solve(H, mode, targets):
             fr.grow(r, (Fx, k), (tx, k), (f[0], 1), (f[1], 1), (g[0], k), (g[1], k))
         scale = r ** (mu - k)
         fmu, gmu = ({}, {}), ({}, {})
-        for n, (which, j, m, part) in zip(nums, slots):
+        for n, (which, part, key) in zip(nums, slot_keys):
             q, rem = divmod(n * scale, delta)
             if rem:
                 raise InternalError(f"weight {mu} solution left the integer frame")
             if q:
-                (fmu if which == "f" else gmu)[part == "im"][(j, 0, m)] = q
+                (fmu if which == "f" else gmu)[part == "im"][key] = q
         Fx = _graph_transform(Fx, fmu, gmu, k, N)
         f, g = _compose_frame(f, g, fmu, gmu, k, N)
     H_normal = Hypersurface(fr.real_out(Fx, k, N), basis=H.basis, _strict=H.tube_form)

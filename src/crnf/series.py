@@ -22,13 +22,18 @@ that, RealSeries and HoloSeries add a product (mul_upto), RealSeries the
 tests depends_on_u / depends_on_y, and ComplexSeries the reality test
 is_real.  Products, the restriction to a graph and substitutions share one
 kernel, on Python ints in the integer frame of their inputs (Frame), and
-convert back once.  The basis conversions run on ints too, over the lcm of
-their input's denominators, with a cached integer binomial table.  That
-kernel, _substitute, does every binomial Taylor substitution
+convert back once.  A frame value is a dict keyed by one int per monomial,
+(w << 2S) | (j << S) | l for x^j y^l u^m of weight w (_key), so a product
+of monomials is a sum of keys and ascending keys are in weight order; a
+frame takes N <= FRAME_MAX_N = 2^S - 1.  The public series keep their tuple
+keys.  The basis conversions run on ints too, over the lcm of their
+input's denominators, with a cached integer binomial table.  The kernel,
+_substitute, does every binomial Taylor substitution
 h(x + b1, y + b2, u + b3) over power products that only _PowerProducts
-forms; _shifted evaluates one, the restriction h(x + iy, u + iF) among them,
-and _unshift solves one weight by weight (the crnf.transform docstring
-names every consumer and unit).
+forms, grouping the terms of h by Taylor order so that each power product
+is multiplied in once; _shifted evaluates one, the restriction
+h(x + iy, u + iF) among them, and _unshift solves one weight by weight (the
+crnf.transform docstring names every consumer and unit).
 
 Zero coefficients are dropped on construction and after every operation,
 so equality of series is plain structural equality of (k, N, coeffs).
@@ -199,6 +204,8 @@ class _Series:
             for (key, c), w in zip(coeffs.items(), _weights(coeffs, k)):
                 if len(key) != arity:
                     raise StructuralError(f"monomial {key} needs {arity} exponents")
+                if not all(isinstance(e, int) for e in key):
+                    raise StructuralError(f"monomial {key} has a non-integer exponent")
                 if min(key) < 0:
                     raise StructuralError(f"negative exponent in monomial {key}")
                 if w > N:
@@ -385,19 +392,44 @@ def mul_upto(a, b, W: int):
     k, W = a.k, min(W, a.N)
     fr = Frame(k, a, b)
     if isinstance(a, RealSeries):
-        (out,) = _mul_parts((fr.real(a, 0),), _sorted_parts((fr.real(b, 0),), k), W, k)
+        (out,) = _mul_parts((fr.real(a, 0),), _sorted_parts((fr.real(b, 0),)), W)
         return fr.real_out(out, 0, a.N)
-    out = _mul_parts(fr.holo(a, 0), _sorted_parts(fr.holo(b, 0), k), W, k)
+    out = _mul_parts(fr.holo(a, 0), _sorted_parts(fr.holo(b, 0)), W)
     return fr.holo_out(out, 0, a.N)
 
 
 # ---------------------------------------------------------------------------
 # the integer frame: products and substitutions on Python ints
 #
-# Inside the frame a series is a dict keyed (j, l, m) for x^j y^l u^m, with
-# a holomorphic z^j w^m stored as (j, 0, m); a complex-valued one is a tuple
-# of two such dicts, (re, im).  The kernels below use only +, - and * on the
-# values, so a value that is still a Fraction (see Frame) stays exact.
+# Inside the frame a series is a dict keyed by one int per monomial:
+# x^j y^l u^m, of weight w = j + l + k m, has the key
+# (w << 2S) | (j << S) | l (_key), and a holomorphic z^j w^m is stored as
+# x^j u^m; a complex-valued series is a tuple of two such dicts, (re, im).
+# Every field stays below 2^S while w <= N <= FRAME_MAX_N, so the product of
+# two monomials is the sum of their keys, the weight of a key is key >> 2S,
+# and ascending keys are in ascending weight.  Only Frame (on entry and
+# exit) and _key / _monomial build or read the fields.  The kernels below
+# use only +, - and * on the values, so a value that is still a Fraction
+# (see Frame) stays exact.
+
+_S = 10
+_S2 = 2 * _S
+_MASK = (1 << _S) - 1
+# the largest truncation weight a frame takes: every key then stays below
+# 2^30, one CPython digit
+FRAME_MAX_N = _MASK
+
+
+def _key(j: int, l: int, m: int, k: int) -> int:
+    """The frame key of x^j y^l u^m (and of z^j w^m, with l = 0)."""
+    return ((j + l + k * m) << _S2) | (j << _S) | l
+
+
+def _monomial(key: int, k: int) -> tuple:
+    """The exponents (j, l, m) of a frame key."""
+    j, l = (key >> _S) & _MASK, key & _MASK
+    return j, l, ((key >> _S2) - j - l) // k
+
 
 class Frame:
     """The dilation z -> D z, w -> D^k w, with D the lcm of the denominators
@@ -407,7 +439,8 @@ class Frame:
     coefficient c on a monomial of weight w replaced by c D^(w - unit), and
     leaves by the inverse rule.  Where D^(w - unit) does not clear c (w equal
     to the unit, or below it) the entered value stays a Fraction.  The
-    crnf.transform docstring states which units the kernels use.
+    crnf.transform docstring states which units the kernels use.  A series
+    truncated above FRAME_MAX_N raises TruncationError.
     """
 
     __slots__ = ("k", "D", "_powers")
@@ -415,6 +448,9 @@ class Frame:
     def __init__(self, k: int, *series):
         dens = set()
         for s in series:
+            if s.N > FRAME_MAX_N:
+                raise TruncationError(
+                    f"N = {s.N} exceeds the integer frame's limit {FRAME_MAX_N}")
             for c in s.coeffs.values():
                 if isinstance(c, GaussRat):
                     dens.add(c.re.denominator)
@@ -429,10 +465,10 @@ class Frame:
         """Multiply D by the integer r.  Each (frame dict, unit) given is
         rescaled in place by r^(w - unit), so it stands for the same series
         in the larger frame; its monomials must have weight >= unit."""
-        k, rp = self.k, [1]
+        rp = [1]
         for d, unit in values:
             for key, c in d.items():
-                e = key[0] + key[1] + k * key[2] - unit
+                e = (key >> _S2) - unit
                 while len(rp) <= e:
                     rp.append(rp[-1] * r)
                 d[key] = c * rp[e]
@@ -463,172 +499,181 @@ class Frame:
 
     def real(self, s: RealSeries, unit: int) -> dict:
         k, enter = self.k, self._enter
-        return {key: enter(c, key[0] + key[1] + k * key[2] - unit)
-                for key, c in s.coeffs.items()}
+        out = {}
+        for (j, l, m), c in s.coeffs.items():
+            key = _key(j, l, m, k)
+            out[key] = enter(c, (key >> _S2) - unit)
+        return out
 
     def holo(self, h: HoloSeries, unit: int):
         k, enter = self.k, self._enter
         re, im = {}, {}
         for (j, m), c in h.coeffs.items():
-            e = j + k * m - unit
+            key = _key(j, 0, m, k)
+            e = (key >> _S2) - unit
             if c.re:
-                re[(j, 0, m)] = enter(c.re, e)
+                re[key] = enter(c.re, e)
             if c.im:
-                im[(j, 0, m)] = enter(c.im, e)
+                im[key] = enter(c.im, e)
         return re, im
 
     def real_out(self, d: dict, unit: int, N: int) -> RealSeries:
         k, leave = self.k, self._leave
-        return RealSeries._raw(k, N, {key: leave(c, key[0] + key[1] + k * key[2] - unit)
-                                for key, c in d.items()})
+        return RealSeries._raw(k, N, {_monomial(key, k): leave(c, (key >> _S2) - unit)
+                                      for key, c in d.items()})
 
     def holo_out(self, h, unit: int, N: int) -> HoloSeries:
         k, leave = self.k, self._leave
         re, im = h
-        out = {}
-        for key in sorted(re.keys() | im.keys()):
-            j, _, m = key
-            e = j + k * m - unit
-            out[(j, m)] = GaussRat(leave(re.get(key, 0), e), leave(im.get(key, 0), e))
-        return HoloSeries._raw(k, N, out)
+        terms = []
+        for key in re.keys() | im.keys():
+            j, _, m = _monomial(key, k)
+            e = (key >> _S2) - unit
+            terms.append(((j, m), GaussRat(leave(re.get(key, 0), e),
+                                           leave(im.get(key, 0), e))))
+        return HoloSeries._raw(k, N, dict(sorted(terms, key=itemgetter(0))))
 
 
 def _nonzero(d: dict) -> dict:
     return {key: c for key, c in d.items() if c}
 
 
-def _min_weight(parts, k: int):
+def _min_weight(parts):
     """Lowest weight in a tuple of frame dicts, or None if all are empty."""
-    return min((j + l + k * m for d in parts for (j, l, m) in d), default=None)
+    low = min((min(d) for d in parts if d), default=None)
+    return None if low is None else low >> _S2
 
 
-def _sorted_parts(a: tuple, k: int) -> tuple:
-    """Each part of a frame value as (weight, j, l, m, c) tuples, ascending
-    in weight: the form of a second factor of _mul_parts."""
-    return tuple(sorted(((j + l + k * m, j, l, m, c) for (j, l, m), c in p.items()),
-                        key=itemgetter(0)) for p in a)
+def _sorted_parts(a: tuple) -> tuple:
+    """Each part of a frame value as its (key, c) pairs in ascending key, so
+    in ascending weight: the form of a second factor of _mul_parts."""
+    return tuple(sorted(p.items()) for p in a)
 
 
-def _mul_into(out: dict, x: dict, ys: list, W: int, k: int, sign: int = 1):
-    """Add sign * x * y through weight W to out (zeros are left in out); ys
-    is one part of _sorted_parts(y), so the inner loop stops at the bound."""
+def _mul_into(out: dict, x, ys: list, W: int, sign: int = 1):
+    """Add sign * x * y through weight W to out (zeros are left in out); x
+    is an iterable of (key, c) pairs and ys one part of _sorted_parts(y), so
+    the inner loop stops at the bound."""
     get = out.get
-    for (j1, l1, m1), c1 in x.items():
-        budget = W - (j1 + l1 + k * m1)
+    lim = (W + 1) << _S2  # key1 + key2 < lim exactly when w1 + w2 <= W
+    for k1, c1 in x:
+        lim1 = lim - k1
         if sign < 0:
             c1 = -c1
-        for w2, j2, l2, m2, c2 in ys:
-            if w2 > budget:
+        for k2, c2 in ys:
+            if k2 >= lim1:
                 break
-            key = (j1 + j2, l1 + l2, m1 + m2)
+            key = k1 + k2
             out[key] = get(key, 0) + c1 * c2
 
 
-def _mul_parts(a: tuple, b: tuple, W: int, k: int) -> tuple:
+def _mul_parts(a: tuple, b: tuple, W: int) -> tuple:
     """Product through weight W of two real (re,) or two complex (re, im)
     frame values; b is given as _sorted_parts."""
     if len(a) == 1:
         out = {}
-        _mul_into(out, a[0], b[0], W, k)
+        _mul_into(out, a[0].items(), b[0], W)
         return (_nonzero(out),)
     (ar, ai), (br, bi) = a, b
     re, im = {}, {}
-    _mul_into(re, ar, br, W, k)
-    _mul_into(re, ai, bi, W, k, -1)
-    _mul_into(im, ar, bi, W, k)
-    _mul_into(im, ai, br, W, k)
+    _mul_into(re, ar.items(), br, W)
+    _mul_into(re, ai.items(), bi, W, -1)
+    _mul_into(im, ar.items(), bi, W)
+    _mul_into(im, ai.items(), br, W)
     return _nonzero(re), _nonzero(im)
 
 
 class _PowerProducts:
     """Lazily cached products b1^t1 b2^t2 b3^t3 of the increments (b1, b2, b3)
-    of x, y and u, of weights 1, 1 and k.  Each base is a frame value: (re,)
-    for a real increment, (re, im) for a complex one, and () for a variable
-    left alone.
+    of x, y and u, of weights 1, 1 and k, each named by t, the frame key of
+    x^t1 y^t2 u^t3.  Each base is a frame value: (re,) for a real increment,
+    (re, im) for a complex one, and () for a variable left alone.
 
     Every consumer term has weight >= wlow and is wanted through weight W, so
-    the product for (t1, t2, t3) is built only through
-    min(W, W - wlow + t1 + t2 + k t3).  Each base must have min weight >= its
-    unit; then a product built from its predecessor is exact through its own
-    bound.
+    the product for t is built only through min(W, W - wlow + t1 + t2 + k t3).
+    Each base must have min weight >= its unit; then a product built from its
+    predecessor is exact through its own bound.
     """
 
     def __init__(self, bases, W, wlow, k):
         self.bases = bases
-        self.units = (1, 1, k)
         self.W = W
         self.wlow = wlow
         self.k = k
+        # the keys of x, y and u; keys add without carries, so
+        # x^t1 y^t2 u^t3 has the key t1 K1 + t2 K2 + t3 K3
+        self.steps = (_key(1, 0, 0, k), _key(0, 1, 0, k), _key(0, 0, 1, k))
         # weight gained per factor over the variable it replaces; None when
         # the base is identically zero or absent
-        self.gains = tuple(None if (w := _min_weight(b, k)) is None else w - u
-                           for b, u in zip(bases, self.units))
+        self.gains = tuple(None if (w := _min_weight(b)) is None else w - u
+                           for b, u in zip(bases, (1, 1, k)))
         self.cache = {}
         self.by_weight = {}
 
-    def product(self, t):
+    def product(self, t: int):
         cur = self.cache.get(t)
         if cur is None:
-            i = next(i for i, ti in enumerate(t) if ti)
-            prev = t[:i] + (t[i] - 1,) + t[i + 1:]
-            if any(prev):
-                bound = min(self.W, self.W - self.wlow
-                            + sum(a * u for a, u in zip(t, self.units)))
-                base = self.items(tuple(int(n == i) for n in range(len(t))))
-                cur = _mul_parts(self.product(prev), base, bound, self.k)
+            i = next(i for i, ti in enumerate(_monomial(t, self.k)) if ti)
+            prev = t - self.steps[i]
+            if prev:
+                bound = min(self.W, self.W - self.wlow + (t >> _S2))
+                cur = _mul_parts(self.product(prev), self.items(self.steps[i]), bound)
             else:
                 cur = self.bases[i]
             self.cache[t] = cur
         return cur
 
-    def items(self, t):
+    def items(self, t: int):
         """The product's parts as _sorted_parts."""
         cur = self.by_weight.get(t)
         if cur is None:
-            cur = _sorted_parts(self.product(t), self.k)
+            cur = _sorted_parts(self.product(t))
             self.by_weight[t] = cur
         return cur
 
 
 def _substitute(h: tuple, k: int, pp: _PowerProducts, outs: tuple, sign: int):
     """Add sign * (h(x + b1, y + b2, u + b3) - h) through weight pp.W to the
-    weight buckets outs[part][w], where b1, b2, b3 are the bases of pp.
+    dicts outs[part], where b1, b2, b3 are the bases of pp.
 
     h and the bases are real (re,) or complex (re, im) frame values; part a
     of h times part b of a power product goes to outs[(a + b) & 1], negated
-    when a + b == 2 (i times i).  Its two callers are _shifted and _unshift.
+    when a + b == 2 (i times i).  The terms of one part of h are grouped by
+    Taylor order t = (t1, t2, t3): each contributes
+    c C(j, t1) C(l, t2) C(m, t3) x^(j-t1) y^(l-t2) u^(m-t3) to its group, and
+    each group is multiplied by the power product of t once.  Its two
+    callers are _shifted and _unshift.
     """
     W = pp.W
     g1, g2, g3 = pp.gains
+    K1, K2, K3 = pp.steps
     for a, part in enumerate(h):
-        for (j, l, m), c in part.items():
-            w = j + l + k * m
+        groups = {}  # the terms of each Taylor order, by its key
+        for key, c in part.items():
+            j, l, m = _monomial(key, k)
+            w = key >> _S2
+            r1, r2, r3 = _binomial_table(j, 0), _binomial_table(l, 0), _binomial_table(m, 0)
             for t1 in range(j + 1 if g1 is not None else 1):
-                e1 = w + (t1 * g1 if t1 else 0)
+                e1 = w + t1 * g1 if t1 else w
                 if e1 > W:
                     break
+                c1 = c * r1[t1]
                 for t2 in range(l + 1 if g2 is not None else 1):
-                    e2 = e1 + (t2 * g2 if t2 else 0)
+                    e2 = e1 + t2 * g2 if t2 else e1
                     if e2 > W:
                         break
+                    c2 = c1 * r2[t2]
+                    tk2 = t1 * K1 + t2 * K2
                     for t3 in range(m + 1 if g3 is not None else 1):
-                        if e2 + (t3 * g3 if t3 else 0) > W:
+                        if t3 and e2 + t3 * g3 > W:
                             break
-                        if t1 == 0 and t2 == 0 and t3 == 0:
-                            continue
-                        cb = c * binom(j, t1) * binom(l, t2) * binom(m, t3)
-                        jb, lb, mb = j - t1, l - t2, m - t3
-                        wb = jb + lb + k * mb
-                        budget = W - wb
-                        for b, terms in enumerate(pp.items((t1, t2, t3))):
-                            out = outs[(a + b) & 1]
-                            cs = -cb if (a + b == 2) != (sign < 0) else cb
-                            for pw, pj, pl, pm, pc in terms:
-                                if pw > budget:
-                                    break
-                                bucket = out[wb + pw]
-                                key = (jb + pj, lb + pl, mb + pm)
-                                bucket[key] = bucket.get(key, 0) + cs * pc
+                        tk = tk2 + t3 * K3
+                        if tk:
+                            groups.setdefault(tk, []).append((key - tk, c2 * r3[t3]))
+        for tk, group in groups.items():
+            for b, terms in enumerate(pp.items(tk)):
+                _mul_into(outs[(a + b) & 1], group, terms, W,
+                          -sign if a + b == 2 else sign)
 
 
 def _shifted(h: tuple, k: int, bases: tuple, W: int) -> tuple:
@@ -636,12 +681,9 @@ def _shifted(h: tuple, k: int, bases: tuple, W: int) -> tuple:
     bases as for _PowerProducts; h's own terms are kept whatever their
     weight."""
     out = tuple(dict(p) for p in h)
-    wlow = _min_weight(h, k)
+    wlow = _min_weight(h)
     if wlow is not None:
-        # every weight bucket of a part is that part's one dict, so the
-        # substitution lands flat on h's own terms
-        _substitute(h, k, _PowerProducts(bases, W, wlow, k),
-                    tuple([o] * (W + 1) for o in out), 1)
+        _substitute(h, k, _PowerProducts(bases, W, wlow, k), out, 1)
     return tuple(_nonzero(o) for o in out)
 
 
@@ -655,11 +697,9 @@ def _unshift(R: tuple, k: int, bases: tuple, W: int) -> tuple:
     slices are substituted.  Anything left in a solved weight raises
     InternalError."""
     E = tuple([{} for _ in range(W + 1)] for _ in R)
-    for buckets, part in zip(E, R):
-        for (j, l, m), c in part.items():
-            buckets[j + l + k * m][(j, l, m)] = c
+    _add_by_weight(E, R)
     G = tuple({} for _ in R)
-    wlow = _min_weight(R, k)
+    wlow = _min_weight(R)
     if wlow is None:
         return G
     pp = _PowerProducts(bases, W, wlow, k)
@@ -668,10 +708,22 @@ def _unshift(R: tuple, k: int, bases: tuple, W: int) -> tuple:
         for buckets, g, s in zip(E, G, S):
             buckets[mu] = {}
             g.update(s)
-        _substitute(S, k, pp, E, -1)
+        # the slice's image is summed in flat dicts first, so that each key
+        # is bucketed once rather than once per product
+        image = tuple({} for _ in R)
+        _substitute(S, k, pp, image, -1)
+        _add_by_weight(E, image)
     if any(c for buckets in E for bucket in buckets for c in bucket.values()):
         raise InternalError("weight recursion (_unshift) left a residue")
     return G
+
+
+def _add_by_weight(E: tuple, parts: tuple):
+    """Add each part of a frame value to its list of weight buckets in E."""
+    for buckets, part in zip(E, parts):
+        for key, c in part.items():
+            bucket = buckets[key >> _S2]
+            bucket[key] = bucket.get(key, 0) + c
 
 
 # ---------------------------------------------------------------------------
@@ -698,16 +750,15 @@ def _binomial_table(p: int, q: int) -> tuple:
 
 
 def _z_to_xy(terms):
-    """The sum of (nr + i ni) z^p zbar^q u^m over the given ((p, q, m), nr,
-    ni), with int or frame values nr, ni, rewritten over x^j y^l u^m: the
-    pair (re, im) of dicts, zeros left in."""
+    """The sum of (nr + i ni) z^p zbar^q u^m over the given
+    (p, q, keys, nr, ni), with int or frame values nr, ni, rewritten over
+    x^j y^l u^m: the pair (re, im) of dicts, zeros left in.  keys[r] is the
+    key, a tuple or a frame key, of x^(p+q-r) y^r u^m."""
     re, im = {}, {}
-    for (p, q, m), nr, ni in terms:
+    for p, q, keys, nr, ni in terms:
         rot = ((nr, ni), (-ni, nr), (-nr, -ni), (ni, -nr))  # i^r (nr + i ni)
-        d = p + q
-        for r, kr in enumerate(_binomial_table(p, q)):
+        for r, (key, kr) in enumerate(zip(keys, _binomial_table(p, q))):
             if kr:
-                key = (d - r, r, m)
                 a, b = rot[r & 3]
                 re[key] = re.get(key, 0) + a * kr
                 im[key] = im.get(key, 0) + b * kr
@@ -743,9 +794,10 @@ def to_real_basis(f: ComplexSeries) -> RealSeries:
     z = x + iy leaves imaginary parts and a StructuralError names the lowest
     such monomial (by weight, then key)."""
     D = lcm(*(x.denominator for c in f.coeffs.values() for x in (c.re, c.im)))
-    re, im = _z_to_xy((key, c.re.numerator * (D // c.re.denominator),
+    re, im = _z_to_xy((p, q, [(p + q - r, r, m) for r in range(p + q + 1)],
+                       c.re.numerator * (D // c.re.denominator),
                        c.im.numerator * (D // c.im.denominator))
-                      for key, c in f.coeffs.items())
+                      for (p, q, m), c in f.coeffs.items())
     bad = [key for key, v in im.items() if v]
     if bad:
         key = min(bad, key=lambda key: (f.weight(key), key))
@@ -757,12 +809,17 @@ def to_real_basis(f: ComplexSeries) -> RealSeries:
 
 def _restrict_frame(h, F: dict, k: int, W: int):
     """h(x + iy, u + iF) through weight W, in the frame: h is a complex frame
-    value keyed (j, 0, m) and F a real one of min weight >= k; returns the
-    pair (Re, Im).  z -> x + iy keeps weight (_z_to_xy), and iF is a complex
+    value of z^j w^m and F a real one of min weight >= k; returns the pair
+    (Re, Im).  z -> x + iy keeps weight (_z_to_xy), and iF is a complex
     increment of u of gain >= 0."""
     hr, hi = h
-    P = _z_to_xy((key, hr.get(key, 0), hi.get(key, 0))
-                 for key in hr.keys() | hi.keys() if key[0] + k * key[2] <= W)
+    terms = []
+    for key in hr.keys() | hi.keys():
+        if key >> _S2 <= W:
+            j, _, m = _monomial(key, k)
+            terms.append((j, 0, [_key(j - r, r, m, k) for r in range(j + 1)],
+                          hr.get(key, 0), hi.get(key, 0)))
+    P = _z_to_xy(terms)
     return _shifted(tuple(_nonzero(p) for p in P), k, ((), (), ({}, F)), W)
 
 

@@ -40,9 +40,13 @@ monomial below weight k) and > 0 for _unshift (see there).
 Integer frame: the six consumers of the kernel (the restriction to the
 graph among them) run on Python ints.  Each conjugates its inputs by the
 dilation z -> D z, w -> D^k w, where D is the lcm of the denominators of
-every input coefficient (crnf.series.Frame).  A coefficient c on a monomial
-of weight w becomes c D^(w - unit), where the unit is the weight of what
-the series stands for:
+every input coefficient (crnf.series.Frame).  Inside the frame a series is
+a dict keyed by one int per monomial, (w << 2S) | (j << S) | l for
+x^j y^l u^m of weight w (z^j w^m is x^j u^m), so a product of monomials is
+a sum of keys, the weight is key >> 2S and ascending keys are in weight
+order; N may not exceed crnf.series.FRAME_MAX_N.  A coefficient c on a
+monomial of weight w becomes c D^(w - unit), where the unit is the weight
+of what the series stands for:
 
     series                        unit   lowest w   w - unit
     graph F, image G, targets       k       k          >= 0

@@ -348,6 +348,15 @@ class TestBatchAndEnv:
         rc, _, err = run(capsys, ["analyze", path])
         assert rc == 2 and "integer" in err
 
+    def test_frame_limit_maps_to_2(self, tmp_path, capsys):
+        from crnf.series import FRAME_MAX_N
+        # the witness check of tube-equiv runs in the frame; on a tube and
+        # itself it is cheap at any N, so a missing limit fails fast here
+        path = srs(tmp_path, "f.srs",
+                   f"k=3 N={FRAME_MAX_N + 1} basis=xyu\n3 0 0 1/1\n4 0 0 1/1\n")
+        rc, _, err = run(capsys, ["tube-equiv", path, path])
+        assert rc == 2 and "limit" in err
+
     def test_singular_system_maps_to_3(self, tmp_path, monkeypatch, capsys):
         from crnf.errors import SingularSystemError
 

@@ -84,6 +84,12 @@ class TestRealSeriesBasics:
         with pytest.raises(StructuralError):
             RealSeries(3, 6, {(-1, 0, 0): 1})
 
+    def test_constructor_rejects_non_integer_exponent(self):
+        with pytest.raises(StructuralError, match=r"\(1\.5, 0, 0\)"):
+            RealSeries(3, 9, {(1.5, 0, 0): 1})
+        with pytest.raises(StructuralError, match=r"\(2\.0, 0\)"):
+            HoloSeries(3, 9, {(2.0, 0): 1})
+
     def test_zero_coefficients_dropped(self):
         s = RealSeries(3, 6, {(1, 0, 0): 0, (2, 0, 0): rat(1, 2)})
         assert list(s.coeffs) == [(2, 0, 0)]
@@ -389,16 +395,55 @@ class TestUnshift:
     def test_solves_the_substitution(self):
         # G(x + x^2 y, y, u + x^4) = R, checked by substituting back
         k, W = 3, 9
-        R = ({(3, 0, 0): 1, (1, 1, 1): Fraction(2, 3), (4, 2, 0): -5},)
-        bases = (({(2, 1, 0): 1},), (), ({(4, 0, 0): 1},))
+
+        def value(terms):
+            return {series._key(*mono, k): c for mono, c in terms.items()}
+
+        R = (value({(3, 0, 0): 1, (1, 1, 1): Fraction(2, 3), (4, 2, 0): -5}),)
+        bases = ((value({(2, 1, 0): 1}),), (), (value({(4, 0, 0): 1}),))
         G = series._unshift(R, k, bases, W)
         assert series._shifted(G, k, bases, W) == R
 
     def test_gain_zero_base_leaves_residue(self):
         # x -> 2x: the increment x has the weight of the variable it
         # replaces, so each slice's substitution lands on its own weight
+        x = {series._key(1, 0, 0, 3): 1}
         with pytest.raises(InternalError, match="residue"):
-            series._unshift(({(1, 0, 0): 1},), 3, (({(1, 0, 0): 1},), (), ()), 6)
+            series._unshift((x,), 3, ((x,), (), ()), 6)
+
+
+class TestFrameLimit:
+    """Frame keys pack (w, j, l) into one int; its fields hold N <= FRAME_MAX_N."""
+
+    def test_product_at_the_limit(self):
+        N = series.FRAME_MAX_N
+        a = {(1, 0, 0): 2, (0, 1, 0): 1, (0, 0, 1): 5}
+        b = {(N - 1, 0, 0): Fraction(1, 3), (0, N - 1, 0): 1, (0, 0, (N - 3) // 3): -1}
+        want = {}
+        for (j1, l1, m1), c1 in a.items():
+            for (j2, l2, m2), c2 in b.items():
+                key = (j1 + j2, l1 + l2, m1 + m2)
+                if key[0] + key[1] + 3 * key[2] <= N:
+                    want[key] = want.get(key, 0) + c1 * c2
+        assert (N, 0, 0) in want and (0, N, 0) in want and (0, 0, N // 3) in want
+        got = mul_upto(RealSeries(3, N, a), RealSeries(3, N, b), N)
+        assert got == RealSeries(3, N, want)
+
+    def test_keys_stay_in_one_digit(self):
+        N = series.FRAME_MAX_N
+        for k in (3, 7, N // 2):
+            m = N // k
+            S = RealSeries(k, N, {(N, 0, 0): 1, (0, N, 0): 2, (0, 0, m): 3,
+                                  (N - k * m, 0, m): Fraction(1, 5), (1, 1, m - 1): 7})
+            fr = series.Frame(k, S)
+            d = fr.real(S, 0)
+            assert max(d) < 2 ** 30
+            assert fr.real_out(d, 0, N) == S
+
+    def test_limit_plus_one_rejected(self):
+        a = RealSeries.monomial(3, series.FRAME_MAX_N + 1, 1, 0, 0)
+        with pytest.raises(TruncationError, match="limit"):
+            mul_upto(a, a, a.N)
 
 
 class TestScaleW:

@@ -12,7 +12,7 @@ from conftest import (
     rand_tail,
     seeded,
 )
-from crnf import transform
+from crnf import series, transform
 from crnf.errors import InternalError, StructuralError, UnsupportedTypeError
 from crnf.hypersurface import Hypersurface
 from crnf.series import ComplexSeries, GaussRat, HoloSeries, RealSeries, rat, to_real_basis
@@ -202,7 +202,8 @@ class TestComposeInvert:
 
         def perturbed(R, k, bases, W):
             G = real(R, k, bases, W)
-            G[0][(W, 0, 0)] = G[0].get((W, 0, 0), 0) + 1
+            key = series._key(W, 0, 0, k)
+            G[0][key] = G[0].get(key, 0) + 1
             return G
 
         monkeypatch.setattr(transform, "_unshift", perturbed)
