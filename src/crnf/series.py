@@ -438,9 +438,11 @@ class Frame:
     A series standing for a quantity of weight `unit` enters with each
     coefficient c on a monomial of weight w replaced by c D^(w - unit), and
     leaves by the inverse rule.  Where D^(w - unit) does not clear c (w equal
-    to the unit, or below it) the entered value stays a Fraction.  The
-    crnf.transform docstring states which units the kernels use.  A series
-    truncated above FRAME_MAX_N raises TruncationError.
+    to the unit, or below it) the entered value stays a Fraction.  A map's
+    linear factor acts as the dilation D -> D delta (dilated) and a quarter
+    turn of the values (_turn).  The crnf.transform docstring states which
+    units the kernels use.  A series truncated above FRAME_MAX_N raises
+    TruncationError.
     """
 
     __slots__ = ("k", "D", "_powers")
@@ -474,6 +476,15 @@ class Frame:
                 d[key] = c * rp[e]
         self.D *= r
         self._powers = [1]
+
+    def dilated(self, delta: Fraction) -> "Frame":
+        """The frame of D delta, where a value stands for the series dilated
+        by z -> delta z, w -> delta^k w.  D first grows so that D delta is an
+        int: call it before any value enters this frame."""
+        self.grow(delta.denominator)
+        out = Frame(self.k)
+        out.D = self.D // delta.denominator * delta.numerator
+        return out
 
     def power(self, e: int) -> int:
         p = self._powers
@@ -749,6 +760,23 @@ def _binomial_table(p: int, q: int) -> tuple:
     return tuple(out)
 
 
+def _i_powers(a, b) -> tuple:
+    """(a + i b) i^r for r = 0, 1, 2, 3, as (re, im) pairs."""
+    return ((a, b), (-b, a), (-a, -b), (b, -a))
+
+
+def _turn(h, rot: int, s: int):
+    """The complex frame value h of z^j w^m, each term times i^(rot (j - s))."""
+    if not rot:
+        return h
+    hr, hi = h
+    re, im = {}, {}
+    for key in hr.keys() | hi.keys():
+        j = (key >> _S) & _MASK
+        re[key], im[key] = _i_powers(hr.get(key, 0), hi.get(key, 0))[rot * (j - s) & 3]
+    return _nonzero(re), _nonzero(im)
+
+
 def _z_to_xy(terms):
     """The sum of (nr + i ni) z^p zbar^q u^m over the given
     (p, q, keys, nr, ni), with int or frame values nr, ni, rewritten over
@@ -756,7 +784,7 @@ def _z_to_xy(terms):
     key, a tuple or a frame key, of x^(p+q-r) y^r u^m."""
     re, im = {}, {}
     for p, q, keys, nr, ni in terms:
-        rot = ((nr, ni), (-ni, nr), (-nr, -ni), (ni, -nr))  # i^r (nr + i ni)
+        rot = _i_powers(nr, ni)
         for r, (key, kr) in enumerate(zip(keys, _binomial_table(p, q))):
             if kr:
                 a, b = rot[r & 3]

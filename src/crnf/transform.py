@@ -62,7 +62,12 @@ The conjugate of z + f, w + g is z + D^-1 f(D z, D^k w),
 w + D^-k g(D z, D^k w), and every identity the kernels evaluate
 (h(z + f, w + g), h(x + iy, u + iF), F(x, y, u + P), G_a(x + P) and the
 graph equation below) is homogeneous in these units, so the kernels run
-unchanged on the conjugated data.  Where w - unit >= 1 the
+unchanged on the conjugated data.  A linear factor L acts the same way:
+conjugating by L is the dilation D -> D delta (Frame.dilated) and the
+quarter turn i^(rot (j - s)) of each value of z^j w^m, s = 1 for f and 0
+for g, which swaps the real and imaginary slots with a sign
+(crnf.series._turn).  compose enters the second map's f and g at D delta,
+and inverse lets phi and psi leave from it.  Where w - unit >= 1 the
 entry c D^(w - unit) is an integer, because the denominator of c divides D;
 then every product, binomial and sum is an integer operation, and each
 result coefficient leaves the frame once, as Fraction(n, D^(w - unit)).  No
@@ -98,6 +103,7 @@ from .series import (
     _acc_add,
     _restrict_frame,
     _shifted,
+    _turn,
     _unshift,
 )
 
@@ -112,6 +118,8 @@ class LinearFactor:
         d = Fraction(self.delta)
         if d == 0:
             raise StructuralError("linear factor needs delta != 0")
+        if not isinstance(self.rot, int):
+            raise StructuralError("linear factor needs an integer rot")
         object.__setattr__(self, "delta", d)
         object.__setattr__(self, "rot", self.rot % 4)
 
@@ -182,31 +190,29 @@ class FormalMap:
         """The map 'self first, then other' in the same factored form."""
         if self.k != other.k or self.N != other.N:
             raise StructuralError("cannot compose maps with different k or N")
-        # conjugate other's unipotent part back through self's linear factor:
-        # f'(z,w) = lz^-1 f2(lz z, lw w), g'(z,w) = lw^-1 g2(lz z, lw w)
-        f2 = _scale_args(other.f, self.linear, -1, 0)
-        g2 = _scale_args(other.g, self.linear, 0, -1)
-        k, N = self.k, self.N
-        fr = Frame(k, self.f, self.g, f2, g2)
+        k, N, L = self.k, self.N, self.linear
+        fr = Frame(k, self.f, self.g, other.f, other.g)
+        # other's f and g, conjugated back through L, enter at D delta
+        dil = fr.dilated(L.delta)
         f, g = _compose_frame(fr.holo(self.f, 1), fr.holo(self.g, k),
-                              fr.holo(f2, 1), fr.holo(g2, k), k, N)
+                              _turn(dil.holo(other.f, 1), L.rot, 1),
+                              _turn(dil.holo(other.g, k), L.rot, 0), k, N)
         return FormalMap(fr.holo_out(f, 1, N), fr.holo_out(g, k, N),
-                         self.linear.compose(other.linear))
+                         L.compose(other.linear))
 
     def inverse(self) -> "FormalMap":
         """Exact inverse as a FormalMap at the same truncation."""
         k, N = self.k, self.N
         fr = Frame(k, self.f, self.g)
+        # T^-1 = L^-1 o (L o U^-1 o L^-1): the conjugate leaves at D delta
+        dil = fr.dilated(self.linear.delta)
+        linv = self.linear.inverse()
         # phi(z + f, w + g) = -f through N - k + 1, psi(z + f, w + g) = -g
         bases = (fr.holo(self.f, 1), (), fr.holo(self.g, k))
         phi = _unshift(fr.holo(-self.f, 1), k, bases, N - k + 1)
         psi = _unshift(fr.holo(-self.g, k), k, bases, N)
-        phi, psi = fr.holo_out(phi, 1, N), fr.holo_out(psi, k, N)
-        linv = self.linear.inverse()
-        # T^-1 = L^-1 o (L o U^-1 o L^-1): conjugate U^-1 forward through L
-        fi = _scale_args(phi, linv, -1, 0)
-        gi = _scale_args(psi, linv, 0, -1)
-        inv = FormalMap(fi, gi, linv)
+        inv = FormalMap(dil.holo_out(_turn(phi, linv.rot, 1), 1, N),
+                        dil.holo_out(_turn(psi, linv.rot, 0), k, N), linv)
         if not self.compose(inv).is_identity():
             raise InternalError("map inversion failed")
         return inv
@@ -222,17 +228,6 @@ class FormalMap:
     def __repr__(self):
         return (f"FormalMap(k={self.k}, N={self.N}, |f|={len(self.f.coeffs)}, "
                 f"|g|={len(self.g.coeffs)}, linear={self.linear})")
-
-
-def _scale_args(h: HoloSeries, L: LinearFactor, s1: int, s2: int) -> HoloSeries:
-    """Coefficients h_{jm} -> lz^(j+s1) lw^(m+s2) h_{jm}, where lz = delta i^rot
-    and lw = delta^k are L's factors: delta^(j+s1+k(m+s2)) times a quarter
-    turn i^(rot (j+s1))."""
-    if L.is_identity():
-        return h
-    k, d, rot = h.k, L.delta, L.rot
-    return h.map_coeffs(lambda key, c: (c * d ** (key[0] + s1 + k * (key[1] + s2)))
-                        .times_i_power(rot * (key[0] + s1)))
 
 
 def _compose_frame(f1: tuple, g1: tuple, f2: tuple, g2: tuple, k: int, N: int):
@@ -258,31 +253,16 @@ def _add_parts(a: tuple, b: tuple) -> tuple:
 
 def apply_linear_series(F: RealSeries, L: LinearFactor) -> RealSeries:
     """Image of the graph v = F under the linear map z* = delta i^rot z,
-    w* = delta^k w, as a coefficient transform."""
+    w* = delta^k w: c delta^(k - w), then rot steps x^j y^l -> (-1)^l x^l y^j."""
     if L.is_identity():
         return F
-    k = F.k
-    d = L.delta
-    rot = L.rot
+    k, d = F.k, L.delta
     out = {}
     for (j, l, m), c in F.coeffs.items():
-        e = k - j - l - k * m
-        v = c * d ** e
-        if rot == 0:
-            key = (j, l, m)
-        elif rot == 2:
-            key = (j, l, m)
-            if (j + l) % 2:
-                v = -v
-        elif rot == 1:
-            key = (l, j, m)
-            if l % 2:
-                v = -v
-        else:  # rot == 3
-            key = (l, j, m)
-            if j % 2:
-                v = -v
-        _acc_add(out, key, v)
+        c *= d ** (k - j - l - k * m)
+        for _ in range(L.rot):
+            j, l, c = l, j, -c if l & 1 else c
+        _acc_add(out, (j, l, m), c)
     return RealSeries._raw(k, F.N, out)
 
 
@@ -328,10 +308,10 @@ def _graph_transform(Fx: dict, f: tuple, g: tuple, k: int, N: int) -> dict:
 
 
 def pushforward(H: Hypersurface, T: FormalMap) -> Hypersurface:
-    """Image hypersurface under T; strict tube form is preserved exactly
-    when the linear factor fixes x^k (rot = 0, or rot = 2 with even k)."""
-    G = pushforward_series(H.F, T)
-    return Hypersurface(G, basis=H.basis, _strict=H.tube_form)
+    """Image hypersurface under T; its tube_form is computed, and strict
+    tube form is preserved exactly when the linear factor fixes x^k (rot = 0,
+    or rot = 2 with even k)."""
+    return Hypersurface(pushforward_series(H.F, T), basis=H.basis, _strict=False)
 
 
 def model_automorphism(k: int, N: int, delta=1, rot: int = 0, mu=0) -> FormalMap:

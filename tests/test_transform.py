@@ -16,6 +16,7 @@ from crnf import series, transform
 from crnf.errors import InternalError, StructuralError, UnsupportedTypeError
 from crnf.hypersurface import Hypersurface
 from crnf.series import ComplexSeries, GaussRat, HoloSeries, RealSeries, rat, to_real_basis
+from crnf.symmetry import classify_aut
 from crnf.transform import (
     FormalMap,
     LinearFactor,
@@ -53,6 +54,11 @@ class TestLinearFactor:
     def test_rot_normalized(self):
         assert LinearFactor(1, 7).rot == 3
         assert LinearFactor(1, -1).rot == 3
+
+    def test_rejects_non_integer_rot(self):
+        for rot in (0.5, 1.0, Fraction(1)):
+            with pytest.raises(StructuralError, match="integer rot"):
+                LinearFactor(1, rot)
 
 
 class TestFormalMapStructure:
@@ -246,6 +252,29 @@ class TestApplyLinear:
         G = apply_linear_series(F, LinearFactor(2, 0))
         assert G == RealSeries(4, 12, {(2, 0, 1): rat(1, 4)})
 
+    def test_every_quarter_turn_matches_oracle(self):
+        # G(x*, y*, u*) = delta^k F(x, y, u), with x + iy = (x* + iy*) / lz
+        # and u = u* / delta^k, lz = delta i^rot
+        rng = seeded(313)
+        delta = rat(-3, 2)
+        for k, N in [(3, 9), (4, 10)]:
+            F = RealSeries(k, N, {(k, 0, 0): 1, (k - 1, 1, 0): rat(2, 3),
+                                  (2, 3, 0): -1, (1, 1, 1): rat(5, 7),
+                                  (0, 5, 0): 3}) + rand_tail(rng, k, N, 4)
+            for rot in range(4):
+                c = oracle.CONE
+                for _ in range(-rot % 4):
+                    c = oracle.cmulc(c, oracle.CI)
+                c = oracle.cmulc(c, oracle.cnum(1 / delta))
+                X = {(1, 0, 0): oracle.cnum(c[0]), (0, 1, 0): oracle.cnum(-c[1])}
+                Y = {(1, 0, 0): oracle.cnum(c[1]), (0, 1, 0): oracle.cnum(c[0])}
+                U = {(0, 0, 1): oracle.cnum(1 / delta ** k)}
+                want = oracle.pscale(oracle.subst_xyu(oracle.from_real_series(F), k,
+                                                      X, Y, U, N),
+                                     oracle.cnum(delta ** k))
+                got = apply_linear_series(F, LinearFactor(delta, rot))
+                assert oracle.eq_real(want, got), (k, rot)
+
     def test_composition_consistency(self):
         rng = seeded(305)
         F = rand_hypersurface_series(rng, 4, 8)
@@ -343,11 +372,24 @@ class TestPushforward:
         assert H2.F.weight_part(3) == RealSeries.monomial(3, 9, 3, 0, 0)
 
     def test_strict_form_broken_by_quarter_turn(self):
-        F = RealSeries(3, 9, {(3, 0, 0): 1, (4, 0, 0): 1})
-        H = Hypersurface.validate(F, 3)
-        with pytest.raises(StructuralError):
-            pushforward(H, FormalMap(HoloSeries.zero(3, 9), HoloSeries.zero(3, 9),
-                                     LinearFactor(1, 1)))
+        # a turn that moves x^k gives an image out of tube form, not an error
+        rng = seeded(314)
+        for k, N, rot in [(3, 9, 1), (3, 9, 2), (3, 9, 3), (4, 10, 1), (4, 10, 3)]:
+            H = Hypersurface.validate(rand_hypersurface_series(rng, k, N, nterms=3), k)
+            T = FormalMap(rand_holo(rng, k, N, nterms=2, min_wt=2),
+                          rand_holo(rng, k, N, nterms=2, min_wt=k + 1),
+                          LinearFactor(rat(2, 3), rot))
+            H2 = pushforward(H, T)
+            assert not H2.tube_form
+            assert H2.F == apply_linear_series(pushforward_series(H.F, FormalMap(T.f, T.g)),
+                                               T.linear)
+            back = pushforward(H2, T.inverse())
+            assert back == H and back.tube_form
+        # a purely linear map
+        H = Hypersurface.validate(RealSeries(3, 9, {(3, 0, 0): 1, (4, 0, 0): 1}), 3)
+        L = LinearFactor(1, 1)
+        H2 = pushforward(H, FormalMap(HoloSeries.zero(3, 9), HoloSeries.zero(3, 9), L))
+        assert not H2.tube_form and H2.F == apply_linear_series(H.F, L)
 
     def test_map_truncated_below_surface_rejected(self):
         F = RealSeries.monomial(3, 12, 3, 0, 0)
@@ -360,6 +402,34 @@ class TestPushforward:
         T = rand_unipotent(rng, 3, 12)
         got = pushforward_series(F, T)
         assert got.N == 9
+
+
+class TestLinearAboveFrameLimit:
+    """The linear action runs on tuple keys: it takes any N, where a frame
+    stops at FRAME_MAX_N."""
+
+    N = series.FRAME_MAX_N + 1
+
+    def graph(self):
+        return RealSeries(3, self.N, {(3, 0, 0): 1, (2, 1, 0): 1, (self.N, 0, 0): rat(1, 2),
+                                      (0, 1, (self.N - 1) // 3): 3})
+
+    def test_apply_linear_series(self):
+        F, N = self.graph(), self.N
+        G = apply_linear_series(F, LinearFactor(-2, 1))
+        assert G.N == N
+        assert G.coeff(0, N, 0) == rat(1, 2) * rat(-2) ** (3 - N)
+        assert apply_linear_series(G, LinearFactor(rat(-1, 2), 3)) == F
+
+    def test_pushforward_of_a_linear_map(self):
+        F, N = self.graph(), self.N
+        L = LinearFactor(rat(3, 2), 2)
+        T = FormalMap(HoloSeries.zero(3, N), HoloSeries.zero(3, N), L)
+        assert pushforward_series(F, T) == apply_linear_series(F, L)
+
+    def test_classify_aut(self):
+        H = Hypersurface.validate(RealSeries(3, self.N, {(3, 0, 0): 1, (5, 0, 0): 1}), 3)
+        assert classify_aut(H).tag == "Zm"
 
 
 class TestModelAutomorphism:
