@@ -11,6 +11,7 @@ arithmetic is exact (Fractions and Gaussian rationals); results at weight
 
 from .errors import (
     CrnfError,
+    DigitLimitError,
     InputError,
     InternalError,
     NotExactlyRepresentableError,

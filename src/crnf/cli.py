@@ -15,6 +15,9 @@ files then need an explicit --out).  Several files at once need --each.
 CRNF_MAX_WEIGHT in the environment rejects inputs whose truncation
 weight N exceeds it.
 
+Each call builds the argument parser of its command alone; help, a call
+without a command and an unknown command build the parsers of all of them.
+
 Exit codes: 0 the computation succeeded or the checked property holds,
 1 a checked condition fails or the inputs are inequivalent, 2 malformed
 or unsupported input, 3 a square solver system came out singular, 4 an
@@ -309,78 +312,62 @@ def _cmd_tube_equiv(args):
     return 0, report, lines
 
 
-_PER_FILE = {
-    "analyze": _cmd_analyze,
-    "tnormal": _cmd_tnormal,
-    "rigid": _cmd_rigid,
-    "nt": _cmd_nt,
-    "check": _cmd_check,
-    "classify": _cmd_classify,
+# ------------------------------------------------------------- the parser
+
+_JSON = (("--json",), {"action": "store_true",
+                       "help": "emit a JSON report instead of text"})
+_EACH = (("--each",), {"action": "store_true",
+                       "help": "process several input files in one run"})
+_OUT = (("--out",), {"metavar": "BASE",
+                     "help": "output base path (.srs/.map appended); "
+                             "required when reading stdin"})
+_FILES = (("files",), {"nargs": "+", "metavar": "file"})
+
+# name -> (help, per-file handler, arguments in the order help lists them);
+# apply's handler also takes the parsed map, and tube-equiv, which reads its
+# two files at once, has none
+_COMMANDS = {
+    "analyze": ("report k, essential type, L, tube verdicts", _cmd_analyze,
+                (_FILES, _JSON, _EACH)),
+    "tnormal": ("full normal form and the map to it", _cmd_tnormal,
+                (_FILES,
+                 (("--target-A",), {"dest": "target_A", "metavar": "p/q",
+                                    "help": "prescribe the x^(2k-1) constant"}),
+                 (("--target-B",), {"dest": "target_B", "metavar": "p/q",
+                                    "help": "prescribe the x^(2k-1) y constant"}),
+                 _JSON, _EACH, _OUT)),
+    "rigid": ("normal form within the rigid class", _cmd_rigid,
+              (_FILES, _JSON, _EACH, _OUT)),
+    "nt": ("normal form within the y-independent class", _cmd_nt,
+           (_FILES, _JSON, _EACH, _OUT)),
+    "check": ("list violated normal form conditions", _cmd_check,
+              ((("--form",), {"required": True, "choices": sorted(_FORMS)}),
+               _FILES, _JSON, _EACH)),
+    "tube-equiv": ("decide equivalence of two tube graphs", None,
+                   ((("files",), {"nargs": 2, "metavar": "file"}), _JSON)),
+    "apply": ("push a series through a map file", _cmd_apply,
+              ((("--map",), {"required": True, "dest": "mapfile",
+                             "metavar": "mapfile"}),
+               _FILES, _JSON, _EACH, _OUT)),
+    "classify": ("symmetry class of the graph", _cmd_classify,
+                 (_FILES, _JSON, _EACH)),
 }
 
 
-# --------------------------------------------------------------- dispatch
-
-def _build_parser():
+def _build_parser(command=None):
+    """The crnf parser with the subparser of `command` alone, or with all of
+    them when command is None."""
     p = argparse.ArgumentParser(
         prog="crnf",
         description="Exact normal forms, equivalence witnesses, and "
                     "symmetry classes for finite-type hypersurface graphs.")
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
-
-    def common(sp, writes=False):
-        sp.add_argument("--json", action="store_true",
-                        help="emit a JSON report instead of text")
-        sp.add_argument("--each", action="store_true",
-                        help="process several input files in one run")
-        if writes:
-            sp.add_argument("--out", metavar="BASE",
-                            help="output base path (.srs/.map appended); "
-                                 "required when reading stdin")
-        else:
-            sp.set_defaults(out=None)
-
-    sp = sub.add_parser("analyze",
-                        help="report k, essential type, L, tube verdicts")
-    sp.add_argument("files", nargs="+", metavar="file")
-    common(sp)
-
-    sp = sub.add_parser("tnormal", help="full normal form and the map to it")
-    sp.add_argument("files", nargs="+", metavar="file")
-    sp.add_argument("--target-A", dest="target_A", metavar="p/q",
-                    help="prescribe the x^(2k-1) constant")
-    sp.add_argument("--target-B", dest="target_B", metavar="p/q",
-                    help="prescribe the x^(2k-1) y constant")
-    common(sp, writes=True)
-
-    sp = sub.add_parser("rigid", help="normal form within the rigid class")
-    sp.add_argument("files", nargs="+", metavar="file")
-    common(sp, writes=True)
-
-    sp = sub.add_parser("nt", help="normal form within the y-independent class")
-    sp.add_argument("files", nargs="+", metavar="file")
-    common(sp, writes=True)
-
-    sp = sub.add_parser("check", help="list violated normal form conditions")
-    sp.add_argument("--form", required=True, choices=sorted(_FORMS))
-    sp.add_argument("files", nargs="+", metavar="file")
-    common(sp)
-
-    sp = sub.add_parser("tube-equiv",
-                        help="decide equivalence of two tube graphs")
-    sp.add_argument("files", nargs=2, metavar="file")
-    sp.add_argument("--json", action="store_true",
-                    help="emit a JSON report instead of text")
-
-    sp = sub.add_parser("apply", help="push a series through a map file")
-    sp.add_argument("--map", required=True, dest="mapfile", metavar="mapfile")
-    sp.add_argument("files", nargs="+", metavar="file")
-    common(sp, writes=True)
-
-    sp = sub.add_parser("classify", help="symmetry class of the graph")
-    sp.add_argument("files", nargs="+", metavar="file")
-    common(sp)
-
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            sp.set_defaults(handler=handler, out=None)
+            for flags, kwargs in arguments:
+                sp.add_argument(*flags, **kwargs)
     return p
 
 
@@ -397,12 +384,10 @@ def _dispatch(args):
     if args.command == "tube-equiv":
         code, report, lines = _cmd_tube_equiv(args)
         return [(None, code, report, lines)]
+    handler = args.handler
     if args.command == "apply":
         T = parse_map(_read_text(args.mapfile))
-        handler = lambda path: _cmd_apply(path, args, T)
-    else:
-        fn = _PER_FILE[args.command]
-        handler = lambda path: fn(path, args)
+        handler = lambda path, args: _cmd_apply(path, args, T)
     if len(args.files) > 1 and not args.each:
         raise InputError("several input files need --each")
     if args.each and args.out is not None and len(args.files) > 1:
@@ -412,18 +397,24 @@ def _dispatch(args):
     for path in args.files:
         if args.each:
             try:
-                code, report, lines = handler(path)
+                code, report, lines = handler(path, args)
             except tuple(_EXIT_CODES) as exc:
                 code, report, lines = (_exit_code(exc), {"error": str(exc)},
                                        [f"error: {exc}"])
             entries.append((path, code, report, lines))
         else:
-            entries.append((None,) + handler(path))
+            entries.append((None,) + handler(path, args))
     return entries
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # argv led by a command name needs that command's subparser alone; any
+    # other argv (help, no command, an unknown one, an option first) gets
+    # them all, so argparse words its help and errors as always
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         entries = _dispatch(args)
     except tuple(_EXIT_CODES) as exc:

@@ -20,6 +20,11 @@ class StructuralError(InputError):
     overweight monomial, duplicate record, bad header, ...)."""
 
 
+class DigitLimitError(InputError):
+    """A number has more digits than Python's integer string conversion
+    limit allows (sys.get_int_max_str_digits, PYTHONINTMAXSTRDIGITS)."""
+
+
 class UnsupportedTypeError(InputError):
     """The type k is outside the supported range (k < 3)."""
 

@@ -14,27 +14,42 @@ section whose records are ``j m re im`` on z^j w^m.
 """
 
 import re
+import sys
 from fractions import Fraction
 
-from .errors import StructuralError
+from .errors import DigitLimitError, StructuralError
 from .series import ComplexSeries, GaussRat, RealSeries
 from .transform import FormalMap, LinearFactor
 
 _RAT = re.compile(r"-?\d+(/\d+)?\Z")
 
 
+def _digit_limit(what):
+    return DigitLimitError(
+        f"{what} has more than {sys.get_int_max_str_digits()} digits, Python's "
+        "limit for integer string conversion; set PYTHONINTMAXSTRDIGITS to "
+        "raise it")
+
+
 def format_rat(q: Fraction) -> str:
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise _digit_limit("a result") from None
 
 
 def parse_rat(tok: str) -> Fraction:
     if not _RAT.match(tok):
         raise StructuralError(f"bad fraction {tok!r}")
+    num, _, den = tok.partition("/")
     try:
-        return Fraction(tok)
-    except ZeroDivisionError:
-        raise StructuralError(f"bad fraction {tok!r}: zero denominator") from None
+        p, q = int(num), int(den) if den else 1
+    except ValueError:
+        raise _digit_limit(f"fraction {tok[:20]}...") from None
+    if not q:
+        raise StructuralError(f"bad fraction {tok!r}: zero denominator")
+    return Fraction(p, q)
 
 
 def _content_lines(text):

@@ -14,7 +14,7 @@ the compose kernel, and both leave the frame once, at the end.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .errors import (
     InternalError,
@@ -303,13 +303,13 @@ def _column(k, which, j, m, part):
     A coefficient eps z^j w^m in g contributes -Im{eps (x+iy)^j (u+ix^k)^m}
     to the change of F at its weight; one in f contributes
     k x^(k-1) Re{eps (x+iy)^j (u+ix^k)^m}.  The image is F minus these.
+    Every entry is an int: binomials times 0, +-1 or +-k.
     """
     col = {}
     for s in range(j + 1):
         cjs = comb(j, s)
         for t in range(m + 1):
             q = (j - s + t) % 4
-            C = Fraction(cjs * comb(m, t))
             if which == "g":
                 mono = (s + k * t, j - s, m - t)
                 val = -_I_IM[q] if part == "re" else -_I_RE[q]
@@ -317,8 +317,7 @@ def _column(k, which, j, m, part):
                 mono = (k - 1 + s + k * t, j - s, m - t)
                 val = k * _I_RE[q] if part == "re" else -k * _I_IM[q]
             if val:
-                prev = col.get(mono, Fraction(0))
-                col[mono] = prev + C * val
+                col[mono] = col.get(mono, 0) + cjs * comb(m, t) * val
     return col
 
 
@@ -330,8 +329,9 @@ def weight_system(k, mode, mu):
 
     rows are condition monomials (j, l, m); slots are unknown labels
     ("f"|"g", j, m, "re"|"im"); matrix[r][c] is the coefficient of slot c
-    in the condition for row r.  Cached per (k, mode, mu), with the integer
-    form of the inverse the solvers use (_integer_inverse).
+    in the condition for row r.  matrix and inverse hold Fractions, but
+    the system is built and inverted on ints.  Cached per (k, mode, mu),
+    with the integer form of the inverse the solvers use (_frame_system).
     """
     key = (k, mode, mu)
     hit = _system_cache.get(key)
@@ -343,22 +343,27 @@ def weight_system(k, mode, mu):
         raise SingularSystemError(
             f"weight {mu}: {len(slots)} unknowns against {len(rows)} conditions")
     cols = [_column(k, s[0], s[1], s[2], s[3]) for s in slots]
-    matrix = [[cols[c].get(r, Fraction(0)) for c in range(len(slots))] for r in rows]
-    inv = invert(matrix) if rows else []
-    _system_cache[key] = (rows, slots, matrix, inv, _frame_system(k, rows, slots, inv))
-    return rows, slots, matrix, inv
+    matrix = [[col.get(r, 0) for col in cols] for r in rows]
+    delta, inv = invert(matrix) if rows else (1, [])
+    zero = Fraction(0)  # both are mostly zeros; one shared Fraction for them
+
+    def rats(ints, d):
+        return [[Fraction(a, d) if a else zero for a in row] for row in ints]
+
+    _system_cache[key] = (rows, slots, rats(matrix, 1), rats(inv, delta),
+                          _frame_system(k, rows, slots, delta, inv))
+    return _system_cache[key][:4]
 
 
-def _frame_system(k, rows, slots, inv):
+def _frame_system(k, rows, slots, delta, inv):
     """The weight system in the form _solve uses on frame values:
     (row_keys, slot_keys, delta, irows).  row_keys are the frame keys of the
     condition monomials; slot_keys[c] is (which, part, key) for the slot
-    (which, j, m, part) of column c, with key the frame key of z^j w^m.  delta is the lcm of the denominators
-    of inv, and each of irows lists the pairs (column, n) with
-    inv[row][column] = n / delta, n != 0."""
-    delta = lcm(*(a.denominator for row in inv for a in row))
-    irows = [[(c, a.numerator * (delta // a.denominator))
-              for c, a in enumerate(row) if a] for row in inv]
+    (which, j, m, part) of column c, with key the frame key of z^j w^m.
+    inv / delta is the inverse (ints over their least common denominator),
+    and each of irows lists the pairs (column, n) with inv[row][column] = n,
+    n != 0."""
+    irows = [[(c, n) for c, n in enumerate(row) if n] for row in inv]
     row_keys = [_key(j, l, m, k) for j, l, m in rows]
     slot_keys = [(which, part, _key(j, 0, m, k)) for which, j, m, part in slots]
     return row_keys, slot_keys, delta, irows

@@ -433,3 +433,26 @@ def reflection_fixes_oracle(Fdict, k):
     """Does x -> -x, y -> -y, u -> (-1)^k u, v -> (-1)^k v fix the
     graph?  Pure sign bookkeeping on the real-basis dict."""
     return all((j + l + k * m - k) % 2 == 0 for (j, l, m) in Fdict)
+
+
+class Singular(Exception):
+    """Raised by gauss_jordan_inverse; args[0] is the column without a pivot."""
+
+
+def gauss_jordan_inverse(matrix):
+    """Inverse of a square matrix by Gauss-Jordan elimination over Fraction,
+    pivoting on the first nonzero entry at or below the diagonal."""
+    n = len(matrix)
+    A = [[Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if A[r][col]), None)
+        if piv is None:
+            raise Singular(col)
+        A[col], A[piv] = A[piv], A[col]
+        A[col] = [a / A[col][col] for a in A[col]]
+        for r in range(n):
+            if r != col and A[r][col]:
+                f = A[r][col]
+                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
+    return [row[n:] for row in A]

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import crnf
+from crnf import cli
 from crnf.cli import main
 from crnf.fileformat import parse_series, serialize_series
 from crnf.series import ComplexSeries, RealSeries, to_complex_basis
@@ -383,17 +384,102 @@ class TestBatchAndEnv:
         rc, out, _ = run(capsys, ["tnormal", "--each", path, path])
         assert rc == 4 and out.count("error: forced") == 2
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no integer string conversion limit")
+    def test_digit_limit_maps_to_2(self, tmp_path, capsys):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            path = srs(tmp_path, "big.srs",
+                       f"k=4 N=8 basis=xyu\n4 0 0 1/1\n5 0 0 {'7' * 5000}\n")
+            rc, out, err = run(capsys, ["analyze", path])
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and "PYTHONINTMAXSTRDIGITS" in err
+
+
+def full_parser_run(monkeypatch, argv, full):
+    """(exit code, stdout, stderr) of main(argv); with full, main's parser
+    holds the subparsers of every command, whatever argv names."""
+    with monkeypatch.context() as m:
+        if full:
+            build = cli._build_parser
+            m.setattr(cli, "_build_parser", lambda command=None: build())
+        out, err = io.StringIO(), io.StringIO()
+        m.setattr(sys, "stdout", out)
+        m.setattr(sys, "stderr", err)
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = ("exit", exc.code)
+    return rc, out.getvalue(), err.getvalue()
+
+
+SURFACE = [[], ["--help"], ["-h"], ["bogus"], ["bogus", "f.srs"], ["--bad"],
+           ["--", "tnormal", "f.srs"], ["--json", "tnormal", "f.srs"],
+           ["check", "f.srs"], ["check", "--form", "zz", "f.srs"],
+           ["check", "--form", "t", "f.srs"], ["tube-equiv", "f.srs"],
+           ["tube-equiv", "f.srs", "f.srs"], ["apply", "f.srs"],
+           ["apply", "--map", "f.tnf.map", "f.srs", "--out", "rt"],
+           ["tnormal", "--target-A", "1/2", "f.srs"],
+           ["tnormal", "f.srs", "f.srs"], ["tnormal", "--json", "f.srs"]]
+SURFACE += [[cmd, *rest] for cmd in cli._COMMANDS
+            for rest in ([], ["--help"], ["-h"], ["--bad", "f.srs"],
+                         ["f.srs"], ["--json", "--each", "f.srs", "g.srs"])]
+
+
+class TestSurface:
+    @pytest.mark.parametrize("argv", SURFACE, ids=" ".join)
+    def test_same_as_with_every_subparser(self, argv, tmp_path, monkeypatch):
+        # argparse words its texts differently across Python versions, so
+        # each argv is compared with a parser that has every subparser
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        (tmp_path / "f.srs").write_text(X4_X7)
+        (tmp_path / "g.srs").write_text(X4_X5)
+        main(["tnormal", "f.srs"])
+        got = full_parser_run(monkeypatch, argv, full=False)
+        want = full_parser_run(monkeypatch, argv, full=True)
+        assert got == want
+
+    def test_builds_the_named_subparser_alone(self, capsys):
+        for name in cli._COMMANDS:
+            other = "analyze" if name != "analyze" else "classify"
+            with pytest.raises(SystemExit) as exc:
+                cli._build_parser(name).parse_args([other, "f.srs"])
+            assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+            assert cli._build_parser().parse_args([other, "f.srs"]).command == other
+
 
 class TestScriptEntry:
-    def test_module_invocation(self, tmp_path):
-        path = srs(tmp_path, "f.srs", X4)
+    def run_module(self, tmp_path, *args):
         # the child imports the same crnf as this process, installed or not
         src = os.path.dirname(os.path.dirname(crnf.__file__))
-        env = dict(os.environ)
+        env = dict(os.environ, COLUMNS="80")
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "crnf.cli",
-                               "analyze", path],
-                              capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, "-m", "crnf.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path)
+
+    def test_module_invocation(self, tmp_path):
+        path = srs(tmp_path, "f.srs", X4)
+        proc = self.run_module(tmp_path, "analyze", path)
         assert proc.returncode == 0
         assert "tube model: yes" in proc.stdout
+
+    def test_fresh_process_reads_sys_argv(self, tmp_path, monkeypatch, capsys):
+        # main() without argv, as the console script calls it
+        monkeypatch.setenv("COLUMNS", "80")
+        srs(tmp_path, "f.srs", X4_X7)
+        proc = self.run_module(tmp_path, "tnormal", "--help")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        with pytest.raises(SystemExit) as exc:
+            main(["tnormal", "--help"])
+        assert exc.value.code == 0
+        assert proc.stdout == capsys.readouterr().out
+        proc = self.run_module(tmp_path, "tnormal", "f.srs")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "wrote f.tnf.srs" in proc.stdout
+        assert (tmp_path / "f.tnf.srs").read_text() == X4

@@ -1,10 +1,13 @@
 """Series and map file grammar: parsing, canonical output, round trips."""
 
+import sys
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crnf.errors import StructuralError
+from crnf.errors import DigitLimitError, InputError, StructuralError
 from crnf.fileformat import (format_rat, parse_map, parse_rat, parse_series,
                              serialize_map, serialize_series)
 from crnf.series import ComplexSeries, GaussRat, RealSeries, to_real_basis
@@ -28,6 +31,59 @@ class TestRat:
             parse_rat("1.5")
         with pytest.raises(StructuralError):
             parse_rat("1/0")
+
+
+digits = st.text("0123456789", min_size=1, max_size=30)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.sampled_from(["", "-"]), digits, st.none() | digits)
+def test_parse_rat_is_fraction_of_the_token(sign, num, den):
+    # leading zeros, -0 and zero denominators included
+    tok = sign + num + ("" if den is None else "/" + den)
+    if den is not None and not int(den):
+        with pytest.raises(StructuralError, match="zero denominator"):
+            parse_rat(tok)
+    else:
+        assert parse_rat(tok) == Q(tok)
+
+
+needs_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                 reason="no integer string conversion limit")
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Sets sys's integer string conversion limit; restores it afterwards."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+@needs_limit
+class TestDigitLimit:
+    def test_parse_names_the_limit(self, int_digit_limit):
+        int_digit_limit(4300)
+        for tok in ("7" * 5000, "1/" + "3" * 5000):
+            with pytest.raises(DigitLimitError,
+                               match="4300 digits.*PYTHONINTMAXSTRDIGITS"):
+                parse_rat(tok)
+        assert issubclass(DigitLimitError, InputError)
+
+    def test_serialize_names_the_limit(self, int_digit_limit):
+        int_digit_limit(4300)
+        big = Q(7 ** 6000, 3)
+        with pytest.raises(DigitLimitError, match="PYTHONINTMAXSTRDIGITS"):
+            format_rat(big)
+        with pytest.raises(DigitLimitError):
+            serialize_series(RealSeries(4, 8, {(4, 0, 0): 1, (5, 0, 0): big}))
+
+    def test_round_trip_without_limit(self, int_digit_limit):
+        int_digit_limit(0)
+        big = Q(7 ** 6000, 3 ** 5000)
+        assert parse_rat(format_rat(big)) == big
+        text = f"k=4 N=8 basis=xyu\n4 0 0 1/1\n5 0 0 {format_rat(-big)}\n"
+        assert serialize_series(parse_series(text)) == text
 
 
 class TestSeriesFiles:

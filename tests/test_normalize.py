@@ -12,6 +12,7 @@ from crnf.errors import (
     StructuralError,
     UnsupportedTypeError,
 )
+from crnf import normalize
 from crnf.hypersurface import Hypersurface
 from crnf.normalize import (
     NormalFormKind,
@@ -263,6 +264,23 @@ class TestClosedForms:
                 rows, slots, _, inv = weight_system(k, mode, mu)
                 assert len(rows) == len(slots)
                 assert len(inv) == len(rows)
+
+    def test_fractions_out_of_an_integer_fill(self, monkeypatch):
+        # a cold fill: the matrix and inverse it returns are Fractions, their
+        # product is exact, and the solvers' integer form is inverse * delta
+        monkeypatch.setattr(normalize, "_system_cache", {})
+        for mode in ("t", "rigid", "nt"):
+            for mu in range(5, 17):
+                rows, slots, matrix, inv = weight_system(4, mode, mu)
+                n = len(rows)
+                assert all(type(a) is Q for M in (matrix, inv)
+                           for row in M for a in row)
+                assert [[sum(matrix[i][t] * inv[t][j] for t in range(n))
+                         for j in range(n)] for i in range(n)] == \
+                    [[int(i == j) for j in range(n)] for i in range(n)]
+                _, _, delta, irows = normalize._system_cache[(4, mode, mu)][4]
+                assert [{c: Q(m, delta) for c, m in row} for row in irows] == \
+                    [{c: a for c, a in enumerate(row) if a} for row in inv]
 
     def test_rigid_rows_are_m0_slice(self):
         rows, slots, matrix, _ = weight_system(4, "rigid", 7)
