@@ -21,7 +21,10 @@ without a command and an unknown command build the parsers of all of them.
 Exit codes: 0 the computation succeeded or the checked property holds,
 1 a checked condition fails or the inputs are inequivalent, 2 malformed
 or unsupported input, 3 a square solver system came out singular, 4 an
-internal self-check of the engine failed (a bug, not bad input).
+internal self-check of the engine failed (a bug, not bad input).  When
+the reader of standard output closes it early (`crnf ... | head -1`), the
+rest of the output is dropped quietly and the exit code is still that of
+the command.
 """
 
 import argparse
@@ -420,7 +423,20 @@ def main(argv=None) -> int:
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
-    if args.json:
+    try:
+        _print_entries(entries, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: what is left goes to devnull, so
+        # that the flush at interpreter exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return max(code for (_, code, _, _) in entries)
+
+
+def _print_entries(entries, as_json):
+    if as_json:
         if entries[0][0] is None:
             print(json.dumps(entries[0][2], indent=2))
         else:
@@ -432,7 +448,6 @@ def main(argv=None) -> int:
                 print(f"== {label} ==")
             for line in lines:
                 print(line)
-    return max(code for (_, code, _, _) in entries)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .hypersurface import Hypersurface
 from .normalize import NormalFormKind, check
-from .series import Frame, GaussRat, RealSeries, _shifted
+from .series import Frame, GaussRat, RealSeries, _PowerProducts, _shifted
 from .transform import FormalMap, LinearFactor, apply_linear_series, pushforward_series
 
 
@@ -209,7 +209,8 @@ def _witness_holds(uF, uG, a, b, c, N):
     P = tube({j: -b / a * v for j, v in uF.items()})
     # G_a stands for no particular weight (unit 0), P for an increment of x
     fr = Frame(k, Ga, P)
-    (lhs,) = _shifted((fr.real(Ga, 0),), k, ((fr.real(P, 1),), (), ()), N)
+    pp = _PowerProducts(((fr.real(P, 1),), (), ()), k)
+    (lhs,) = _shifted((fr.real(Ga, 0),), k, pp, N)
     return fr.real_out(lhs, 0, N) == tube({j: c * v for j, v in uF.items()})
 
 

@@ -32,7 +32,8 @@ def _digit_limit(what):
 
 
 def format_rat(q: Fraction) -> str:
-    q = Fraction(q)
+    """p/q for a Fraction or an int q, both of which carry numerator and
+    denominator."""
     try:
         return f"{q.numerator}/{q.denominator}"
     except ValueError:
@@ -63,6 +64,10 @@ def _parse_int(tok, what, line_no):
     try:
         return int(tok)
     except ValueError:
+        # an integer token, as parse_rat reads one, fails int() only over the
+        # digit limit
+        if "/" not in tok and _RAT.match(tok):
+            raise _digit_limit(f"line {line_no}: {what} {tok[:20]}...") from None
         raise StructuralError(f"line {line_no}: {what} must be an integer, "
                               f"got {tok!r}") from None
 

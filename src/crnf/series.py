@@ -392,9 +392,9 @@ def mul_upto(a, b, W: int):
     k, W = a.k, min(W, a.N)
     fr = Frame(k, a, b)
     if isinstance(a, RealSeries):
-        (out,) = _mul_parts((fr.real(a, 0),), _sorted_parts((fr.real(b, 0),)), W)
+        (out,) = _mul_parts((fr.real(a, 0).items(),), _sorted_parts((fr.real(b, 0),)), W)
         return fr.real_out(out, 0, a.N)
-    out = _mul_parts(fr.holo(a, 0), _sorted_parts(fr.holo(b, 0)), W)
+    out = _mul_parts(tuple(p.items() for p in fr.holo(a, 0)), _sorted_parts(fr.holo(b, 0)), W)
     return fr.holo_out(out, 0, a.N)
 
 
@@ -580,87 +580,95 @@ def _mul_into(out: dict, x, ys: list, W: int, sign: int = 1):
 
 def _mul_parts(a: tuple, b: tuple, W: int) -> tuple:
     """Product through weight W of two real (re,) or two complex (re, im)
-    frame values; b is given as _sorted_parts."""
+    frame values; each part of a is an iterable of (key, c) pairs, and b is
+    given as _sorted_parts."""
     if len(a) == 1:
         out = {}
-        _mul_into(out, a[0].items(), b[0], W)
+        _mul_into(out, a[0], b[0], W)
         return (_nonzero(out),)
     (ar, ai), (br, bi) = a, b
     re, im = {}, {}
-    _mul_into(re, ar.items(), br, W)
-    _mul_into(re, ai.items(), bi, W, -1)
-    _mul_into(im, ar.items(), bi, W)
-    _mul_into(im, ai.items(), br, W)
+    _mul_into(re, ar, br, W)
+    _mul_into(re, ai, bi, W, -1)
+    _mul_into(im, ar, bi, W)
+    _mul_into(im, ai, br, W)
     return _nonzero(re), _nonzero(im)
 
 
-class _PowerProducts:
-    """Lazily cached products b1^t1 b2^t2 b3^t3 of the increments (b1, b2, b3)
-    of x, y and u, of weights 1, 1 and k, each named by t, the frame key of
-    x^t1 y^t2 u^t3.  Each base is a frame value: (re,) for a real increment,
-    (re, im) for a complex one, and () for a variable left alone.
+# the bound of a base in the _PowerProducts cache: above every weight
+_UNBOUNDED = FRAME_MAX_N + 1
 
-    Every consumer term has weight >= wlow and is wanted through weight W, so
-    the product for t is built only through min(W, W - wlow + t1 + t2 + k t3).
-    Each base must have min weight >= its unit; then a product built from its
-    predecessor is exact through its own bound.
+
+class _PowerProducts:
+    """Lazily cached products P_t = b1^t1 b2^t2 b3^t3 of the increments
+    (b1, b2, b3) of x, y and u, of weights 1, 1 and k, each named by t, the
+    frame key of x^t1 y^t2 u^t3.  Each base is a frame value: (re,) for a
+    real increment, (re, im) for a complex one, and () for a variable left
+    alone.
+
+    product(t, bound) returns P_t exact through weight bound, and the cache
+    keeps each P_t with the bound it was built through; a later request for
+    a larger bound rebuilds it.  One cache may serve several substitutions
+    with the same bases, whatever weight each is wanted through.  gains[i]
+    is the weight base i gains over the variable it replaces (None when the
+    base is absent or zero), and gmin the smallest of them (None when there
+    is none): a term of weight w has no image below w + gmin.  Each gain
+    must be >= 0; then P_t through bound needs its predecessor only through
+    bound - wt(step).
     """
 
-    def __init__(self, bases, W, wlow, k):
+    def __init__(self, bases, k):
         self.bases = bases
-        self.W = W
-        self.wlow = wlow
         self.k = k
         # the keys of x, y and u; keys add without carries, so
         # x^t1 y^t2 u^t3 has the key t1 K1 + t2 K2 + t3 K3
         self.steps = (_key(1, 0, 0, k), _key(0, 1, 0, k), _key(0, 0, 1, k))
-        # weight gained per factor over the variable it replaces; None when
-        # the base is identically zero or absent
         self.gains = tuple(None if (w := _min_weight(b)) is None else w - u
                            for b, u in zip(bases, (1, 1, k)))
-        self.cache = {}
-        self.by_weight = {}
+        self.gmin = min((g for g in self.gains if g is not None), default=None)
+        self.cache = {}  # t -> (bound, P_t as _sorted_parts)
 
-    def product(self, t: int):
-        cur = self.cache.get(t)
-        if cur is None:
-            i = next(i for i, ti in enumerate(_monomial(t, self.k)) if ti)
-            prev = t - self.steps[i]
-            if prev:
-                bound = min(self.W, self.W - self.wlow + (t >> _S2))
-                cur = _mul_parts(self.product(prev), self.items(self.steps[i]), bound)
-            else:
-                cur = self.bases[i]
-            self.cache[t] = cur
-        return cur
-
-    def items(self, t: int):
-        """The product's parts as _sorted_parts."""
-        cur = self.by_weight.get(t)
-        if cur is None:
-            cur = _sorted_parts(self.product(t))
-            self.by_weight[t] = cur
+    def product(self, t: int, bound: int) -> tuple:
+        """P_t as _sorted_parts, exact through weight bound."""
+        hit = self.cache.get(t)
+        if hit is not None and hit[0] >= bound:
+            return hit[1]
+        i = next(i for i, ti in enumerate(_monomial(t, self.k)) if ti)
+        step = self.steps[i]
+        if t == step:
+            # a base is kept whole, so it serves any bound
+            bound, cur = _UNBOUNDED, _sorted_parts(self.bases[i])
+        else:
+            prev = self.product(t - step, bound - (step >> _S2))
+            cur = _sorted_parts(_mul_parts(prev, self.product(step, 0), bound))
+        self.cache[t] = bound, cur
         return cur
 
 
-def _substitute(h: tuple, k: int, pp: _PowerProducts, outs: tuple, sign: int):
-    """Add sign * (h(x + b1, y + b2, u + b3) - h) through weight pp.W to the
+def _substitute(h: tuple, k: int, pp: _PowerProducts, outs: tuple, sign: int, W: int):
+    """Add sign * (h(x + b1, y + b2, u + b3) - h) through weight W to the
     dicts outs[part], where b1, b2, b3 are the bases of pp.
 
     h and the bases are real (re,) or complex (re, im) frame values; part a
     of h times part b of a power product goes to outs[(a + b) & 1], negated
-    when a + b == 2 (i times i).  The terms of one part of h are grouped by
-    Taylor order t = (t1, t2, t3): each contributes
+    when a + b == 2 (i times i).  A term of weight above W - pp.gmin has no
+    image and is skipped unread.  The other terms of one part of h are
+    grouped by Taylor order t = (t1, t2, t3): each contributes
     c C(j, t1) C(l, t2) C(m, t3) x^(j-t1) y^(l-t2) u^(m-t3) to its group, and
-    each group is multiplied by the power product of t once.  Its two
-    callers are _shifted and _unshift.
+    each group is multiplied once by the power product of t, asked for
+    through W less the lowest weight in the group, which is all that
+    _mul_into reads of it.  Its two callers are _shifted and _unshift.
     """
-    W = pp.W
+    if pp.gmin is None:
+        return
+    lim = (W - pp.gmin + 1) << _S2  # key < lim exactly when w + gmin <= W
     g1, g2, g3 = pp.gains
     K1, K2, K3 = pp.steps
     for a, part in enumerate(h):
         groups = {}  # the terms of each Taylor order, by its key
         for key, c in part.items():
+            if key >= lim:
+                continue
             j, l, m = _monomial(key, k)
             w = key >> _S2
             r1, r2, r3 = _binomial_table(j, 0), _binomial_table(l, 0), _binomial_table(m, 0)
@@ -682,48 +690,49 @@ def _substitute(h: tuple, k: int, pp: _PowerProducts, outs: tuple, sign: int):
                         if tk:
                             groups.setdefault(tk, []).append((key - tk, c2 * r3[t3]))
         for tk, group in groups.items():
-            for b, terms in enumerate(pp.items(tk)):
+            low = min(group, key=itemgetter(0))[0] >> _S2
+            for b, terms in enumerate(pp.product(tk, W - low)):
                 _mul_into(outs[(a + b) & 1], group, terms, W,
                           -sign if a + b == 2 else sign)
 
 
-def _shifted(h: tuple, k: int, bases: tuple, W: int) -> tuple:
-    """h(x + b1, y + b2, u + b3) through weight W on frame values, with the
-    bases as for _PowerProducts; h's own terms are kept whatever their
+def _shifted(h: tuple, k: int, pp: _PowerProducts, W: int) -> tuple:
+    """h(x + b1, y + b2, u + b3) through weight W on frame values, where
+    b1, b2, b3 are the bases of pp; h's own terms are kept whatever their
     weight."""
     out = tuple(dict(p) for p in h)
-    wlow = _min_weight(h)
-    if wlow is not None:
-        _substitute(h, k, _PowerProducts(bases, W, wlow, k), out, 1)
+    _substitute(h, k, pp, out, 1, W)
     return tuple(_nonzero(o) for o in out)
 
 
-def _unshift(R: tuple, k: int, bases: tuple, W: int) -> tuple:
+def _unshift(R: tuple, k: int, pp: _PowerProducts, W: int) -> tuple:
     """The solution G of G(x + b1, y + b2, u + b3) = R through weight W, on
-    real (re,) or complex (re, im) frame values, with the bases as for
-    _PowerProducts: the one weight recursion of the package, run by the
-    graph transform and by the inverse of a map.  Each base needs min weight
-    > its unit; then the substitution of G's weight-mu slice lands above mu
-    only, so the slice is what is left of R at weight mu once the lower
-    slices are substituted.  Anything left in a solved weight raises
-    InternalError."""
+    real (re,) or complex (re, im) frame values, where b1, b2, b3 are the
+    bases of pp: the one weight recursion of the package, run by the graph
+    transform and by the inverse of a map.  Each base needs gain > 0; then
+    the substitution of G's weight-mu slice lands above mu only, so the
+    slice is what is left of R at weight mu once the lower slices are
+    substituted.  A slice above W - pp.gmin has no image through W, so from
+    there on the slices only move into G.  Anything left in a solved weight
+    raises InternalError."""
     E = tuple([{} for _ in range(W + 1)] for _ in R)
     _add_by_weight(E, R)
     G = tuple({} for _ in R)
     wlow = _min_weight(R)
     if wlow is None:
         return G
-    pp = _PowerProducts(bases, W, wlow, k)
+    last = W if pp.gmin is None else W - pp.gmin
     for mu in range(wlow, W + 1):
         S = tuple(_nonzero(buckets[mu]) for buckets in E)
         for buckets, g, s in zip(E, G, S):
             buckets[mu] = {}
             g.update(s)
-        # the slice's image is summed in flat dicts first, so that each key
-        # is bucketed once rather than once per product
-        image = tuple({} for _ in R)
-        _substitute(S, k, pp, image, -1)
-        _add_by_weight(E, image)
+        if mu <= last:
+            # the slice's image is summed in flat dicts first, so that each
+            # key is bucketed once rather than once per product
+            image = tuple({} for _ in R)
+            _substitute(S, k, pp, image, -1, W)
+            _add_by_weight(E, image)
     if any(c for buckets in E for bucket in buckets for c in bucket.values()):
         raise InternalError("weight recursion (_unshift) left a residue")
     return G
@@ -835,11 +844,12 @@ def to_real_basis(f: ComplexSeries) -> RealSeries:
     return RealSeries._raw(f.k, f.N, {key: Fraction(v, D) for key, v in re.items() if v})
 
 
-def _restrict_frame(h, F: dict, k: int, W: int):
+def _restrict_frame(h, k: int, pp: _PowerProducts, W: int):
     """h(x + iy, u + iF) through weight W, in the frame: h is a complex frame
-    value of z^j w^m and F a real one of min weight >= k; returns the pair
-    (Re, Im).  z -> x + iy keeps weight (_z_to_xy), and iF is a complex
-    increment of u of gain >= 0."""
+    value of z^j w^m, and pp holds the powers of iF,
+    _PowerProducts(((), (), ({}, F)), k) for a real frame value F of min
+    weight >= k; returns the pair (Re, Im).  z -> x + iy keeps weight
+    (_z_to_xy), and iF is a complex increment of u of gain >= 0."""
     hr, hi = h
     terms = []
     for key in hr.keys() | hi.keys():
@@ -848,8 +858,7 @@ def _restrict_frame(h, F: dict, k: int, W: int):
             terms.append((j, 0, [_key(j - r, r, m, k) for r in range(j + 1)],
                           hr.get(key, 0), hi.get(key, 0)))
     P = _z_to_xy(terms)
-    return _shifted(tuple(_nonzero(p) for p in P), k, ((), (), ({}, F)), W)
-
+    return _shifted(tuple(_nonzero(p) for p in P), k, pp, W)
 
 def restrict_to_M(h: HoloSeries, F: RealSeries):
     """Value of h(z, w) on the graph v = F(x, y, u), i.e. h(x+iy, u+iF).
@@ -870,7 +879,8 @@ def restrict_to_M(h: HoloSeries, F: RealSeries):
             f"graph has a monomial of weight {F.min_weight()} < k = {k}")
     # h stands for no particular weight (unit 0); v = F has the weight of u
     fr = Frame(k, h, F)
-    re, im = _restrict_frame(fr.holo(h, 0), fr.real(F, k), k, N)
+    pp = _PowerProducts(((), (), ({}, fr.real(F, k))), k)
+    re, im = _restrict_frame(fr.holo(h, 0), k, pp, N)
     return fr.real_out(re, 0, N), fr.real_out(im, 0, N)
 
 
@@ -894,7 +904,8 @@ def shift_u(F: RealSeries, P: RealSeries) -> RealSeries:
             f"shift_u needs a perturbation of weight >= k = {k}, got {pmin}")
     # F stands for no particular weight (unit 0), P for an increment of u
     fr = Frame(k, F, P)
-    (out,) = _shifted((fr.real(F, 0),), k, ((), (), (fr.real(P, k),)), N)
+    pp = _PowerProducts(((), (), (fr.real(P, k),)), k)
+    (out,) = _shifted((fr.real(F, 0),), k, pp, N)
     return fr.real_out(out, 0, N)
 
 

@@ -24,18 +24,27 @@ U^-1 = (z + phi, w + psi) has phi(z + f, w + g) = -f and
 psi(z + f, w + g) = -g.
 
 Weight budget: every product here is formed only through the weight its
-consumer can use.  A product that stands in for factors of total weight v
-inside a consumer term of weight w, where the consumer is wanted through
-weight W, is kept through W - w + v, capped at W (itself at most N).  For
-the power products of one substitution, w is the lowest weight among the
-consumer terms (the min weight of the substituted series, or of the right
-side that _unshift solves for), and W is N - k + 1 for the f part of a map
-(and for Re f|M, Im f|M in the graph transform) and N otherwise.  Nothing
-above a budget can reach a kept coefficient, so the results are the same as
-with products through N.  This needs the gain of each increment, its min
-weight less that of the variable it replaces, >= 0 for _shifted (shift_u's
--Re(c z^k) and the restriction's iF have gain 0, so a graph may have no
-monomial below weight k) and > 0 for _unshift (see there).
+consumer can use.  A substitution is wanted through weight W: N - k + 1
+for the f part of a map (and for Re f|M, Im f|M in the graph transform),
+and N otherwise.  The gain of an increment is its min weight less that of
+the variable it replaces, and gmin is the smallest gain of a set of
+increments.  A term of weight above W - gmin has no image through W, so
+the kernel skips it unread, and _unshift substitutes its slices only up to
+weight W - gmin.  The kernel groups the other terms by Taylor order t and
+asks for the power product of t through W less the lowest weight among the
+group's reduced terms, which is all the group's product reads of it.  A
+power product is built from its predecessor through that bound less the
+weight of the variable added.  One cache of power products
+(crnf.series._PowerProducts) serves every substitution over one set of
+increments within a call: the restrictions of f and g in the graph
+transform share the powers of iF, the f and g halves of compose share one
+set, and so do phi and psi in inverse.  The cache keeps each product with
+its bound and rebuilds it when a later consumer needs more; no cache
+outlives the call that made it.  Nothing above a budget can reach a kept
+coefficient, so the results are the same as with products through N.  This
+needs every gain >= 0 for _shifted (shift_u's -Re(c z^k) and the
+restriction's iF have gain 0, so a graph may have no monomial below weight
+k) and > 0 for _unshift (see there).
 
 Integer frame: the six consumers of the kernel (the restriction to the
 graph among them) run on Python ints.  Each conjugates its inputs by the
@@ -100,6 +109,7 @@ from .series import (
     GaussRat,
     HoloSeries,
     RealSeries,
+    _PowerProducts,
     _acc_add,
     _restrict_frame,
     _shifted,
@@ -208,9 +218,9 @@ class FormalMap:
         dil = fr.dilated(self.linear.delta)
         linv = self.linear.inverse()
         # phi(z + f, w + g) = -f through N - k + 1, psi(z + f, w + g) = -g
-        bases = (fr.holo(self.f, 1), (), fr.holo(self.g, k))
-        phi = _unshift(fr.holo(-self.f, 1), k, bases, N - k + 1)
-        psi = _unshift(fr.holo(-self.g, k), k, bases, N)
+        pp = _PowerProducts((fr.holo(self.f, 1), (), fr.holo(self.g, k)), k)
+        phi = _unshift(fr.holo(-self.f, 1), k, pp, N - k + 1)
+        psi = _unshift(fr.holo(-self.g, k), k, pp, N)
         inv = FormalMap(dil.holo_out(_turn(phi, linv.rot, 1), 1, N),
                         dil.holo_out(_turn(psi, linv.rot, 0), k, N), linv)
         if not self.compose(inv).is_identity():
@@ -235,9 +245,9 @@ def _compose_frame(f1: tuple, g1: tuple, f2: tuple, g2: tuple, k: int, N: int):
     w + g2, on complex frame values: f = f1 + f2(z + f1, w + g1) and
     g = g1 + g2(z + f1, w + g1)."""
     # f is kept only through N - k + 1 (see the module docstring)
-    bases = (f1, (), g1)
-    return (_add_parts(f1, _shifted(f2, k, bases, N - k + 1)),
-            _add_parts(g1, _shifted(g2, k, bases, N)))
+    pp = _PowerProducts((f1, (), g1), k)
+    return (_add_parts(f1, _shifted(f2, k, pp, N - k + 1)),
+            _add_parts(g1, _shifted(g2, k, pp, N)))
 
 
 def _add_parts(a: tuple, b: tuple) -> tuple:
@@ -258,8 +268,13 @@ def apply_linear_series(F: RealSeries, L: LinearFactor) -> RealSeries:
         return F
     k, d = F.k, L.delta
     out = {}
+    scale = {}  # delta^(k - w) by weight w
     for (j, l, m), c in F.coeffs.items():
-        c *= d ** (k - j - l - k * m)
+        w = j + l + k * m
+        s = scale.get(w)
+        if s is None:
+            s = scale[w] = d ** (k - w)
+        c *= s
         for _ in range(L.rot):
             j, l, c = l, j, -c if l & 1 else c
         _acc_add(out, (j, l, m), c)
@@ -302,9 +317,11 @@ def _graph_transform(Fx: dict, f: tuple, g: tuple, k: int, N: int) -> dict:
     G(x + Re f|M, y + Im f|M, u + Re g|M) = F + Im g|M through weight N."""
     # Re/Im f|M replace x and y in slices of weight >= k, so only their
     # weights <= N - k + 1 can reach the image
-    fre, fim = _restrict_frame(f, Fx, k, N - k + 1)
-    gre, gim = _restrict_frame(g, Fx, k, N)
-    return _unshift(_add_parts((Fx,), (gim,)), k, ((fre,), (fim,), (gre,)), N)[0]
+    pp = _PowerProducts(((), (), ({}, Fx)), k)  # the powers of iF
+    fre, fim = _restrict_frame(f, k, pp, N - k + 1)
+    gre, gim = _restrict_frame(g, k, pp, N)
+    pp = _PowerProducts(((fre,), (fim,), (gre,)), k)
+    return _unshift(_add_parts((Fx,), (gim,)), k, pp, N)[0]
 
 
 def pushforward(H: Hypersurface, T: FormalMap) -> Hypersurface:

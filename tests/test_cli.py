@@ -398,6 +398,21 @@ class TestBatchAndEnv:
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and "PYTHONINTMAXSTRDIGITS" in err
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no integer string conversion limit")
+    def test_integer_field_digit_limit_maps_to_2(self, tmp_path, capsys):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            header = srs(tmp_path, "n.srs", f"k=4 N={'9' * 5000} basis=xyu\n")
+            exponent = srs(tmp_path, "j.srs", f"k=4 N=8 basis=xyu\n{'9' * 5000} 0 0 1/1\n")
+            runs = [run(capsys, ["analyze", path]) for path in (header, exponent)]
+        finally:
+            sys.set_int_max_str_digits(old)
+        for rc, out, err in runs:
+            assert rc == 2 and out == ""
+            assert "PYTHONINTMAXSTRDIGITS" in err and len(err) < 300
+
 
 def full_parser_run(monkeypatch, argv, full):
     """(exit code, stdout, stderr) of main(argv); with full, main's parser
@@ -468,6 +483,25 @@ class TestScriptEntry:
         proc = self.run_module(tmp_path, "analyze", path)
         assert proc.returncode == 0
         assert "tube model: yes" in proc.stdout
+
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # the reader takes one line and closes the pipe, as `| head -1` does;
+        # the output (~160 KB) outgrows the pipe, so the CLI is still
+        # writing then.  The last file is missing, so the command's own exit
+        # code is 2, not the 0 or 1 of a broken pipe.
+        srs(tmp_path, "f.srs", X4)
+        src = os.path.dirname(os.path.dirname(crnf.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        argv = ["analyze", "--each"] + ["f.srs"] * 1500 + ["missing.srs"]
+        with subprocess.Popen([sys.executable, "-m", "crnf.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env, cwd=tmp_path) as proc:
+            assert proc.stdout.readline() == b"== f.srs ==\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 2
+        assert err == b""
 
     def test_fresh_process_reads_sys_argv(self, tmp_path, monkeypatch, capsys):
         # main() without argv, as the console script calls it

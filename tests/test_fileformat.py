@@ -70,6 +70,21 @@ class TestDigitLimit:
                 parse_rat(tok)
         assert issubclass(DigitLimitError, InputError)
 
+    def test_integer_fields_name_the_limit(self, int_digit_limit):
+        int_digit_limit(4300)
+        big = "9" * 5000
+        for text in (f"k=4 N={big} basis=xyu\n4 0 0 1/1\n",
+                     f"k=4 N=8 basis=xyu\n4 0 0 1/1\n{big} 0 0 1/1\n",
+                     f"map k=4 N={big}\nf\ng\n"):
+            parse = parse_map if text.startswith("map") else parse_series
+            with pytest.raises(DigitLimitError,
+                               match="4300 digits.*PYTHONINTMAXSTRDIGITS") as exc:
+                parse(text)
+            # the message names the field, not the whole token
+            assert len(str(exc.value)) < 300
+        with pytest.raises(StructuralError, match="N must be an integer"):
+            parse_series("k=4 N=8x basis=xyu\n")
+
     def test_serialize_names_the_limit(self, int_digit_limit):
         int_digit_limit(4300)
         big = Q(7 ** 6000, 3)

@@ -400,16 +400,104 @@ class TestUnshift:
             return {series._key(*mono, k): c for mono, c in terms.items()}
 
         R = (value({(3, 0, 0): 1, (1, 1, 1): Fraction(2, 3), (4, 2, 0): -5}),)
-        bases = ((value({(2, 1, 0): 1}),), (), (value({(4, 0, 0): 1}),))
-        G = series._unshift(R, k, bases, W)
-        assert series._shifted(G, k, bases, W) == R
+        pp = series._PowerProducts(((value({(2, 1, 0): 1}),), (), (value({(4, 0, 0): 1}),)), k)
+        G = series._unshift(R, k, pp, W)
+        assert series._shifted(G, k, pp, W) == R
+
+    def test_no_slice_has_an_image(self):
+        # gmin > W - wlow: every slice's image lies above W, so G = R and no
+        # power product is formed
+        k, W = 3, 6
+        R = frame_value({(3, 0, 0): 1, (2, 2, 0): Fraction(-1, 2), (0, 1, 1): 4}, k)
+        pp = series._PowerProducts((frame_value({(5, 0, 0): 1}, k), (), ()), k)
+        assert series._unshift(R, k, pp, W) == R and not pp.cache
+        # gmin = W - wlow: the lowest slice still lands on W
+        pp = series._PowerProducts((frame_value({(4, 0, 0): 1}, k), (), ()), k)
+        G = series._unshift(R, k, pp, W)
+        assert G == frame_value({(3, 0, 0): 1, (2, 2, 0): Fraction(-1, 2),
+                                 (0, 1, 1): 4, (6, 0, 0): -3}, k)
+        assert series._shifted(G, k, pp, W) == R
 
     def test_gain_zero_base_leaves_residue(self):
         # x -> 2x: the increment x has the weight of the variable it
         # replaces, so each slice's substitution lands on its own weight
         x = {series._key(1, 0, 0, 3): 1}
         with pytest.raises(InternalError, match="residue"):
-            series._unshift((x,), 3, ((x,), (), ()), 6)
+            series._unshift((x,), 3, series._PowerProducts(((x,), (), ()), 3), 6)
+
+
+def frame_value(terms, k):
+    """A real frame value, ({key: c},), from {(j, l, m): c}."""
+    return ({series._key(*mono, k): c for mono, c in terms.items()},)
+
+
+class TestPowerProducts:
+    """One _PowerProducts cache serves every substitution over its bases."""
+
+    def maps(self, seed, k, N):
+        # the compose of z + f1, w + g1 with z + f2, w + g2, as frame values
+        rng = seeded(seed)
+        f1, g1 = rand_dense_holo(rng, k, N, 2, N - k + 1, 0.3), rand_holo(rng, k, N, 4, k + 1)
+        f2, g2 = rand_holo(rng, k, N, 4, 2, N - k + 1), rand_dense_holo(rng, k, N, k + 1, N, 0.3)
+        fr = series.Frame(k, f1, g1, f2, g2)
+        return ((fr.holo(f1, 1), (), fr.holo(g1, k)),
+                fr.holo(f2, 1), fr.holo(g2, k))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shared_cache_equals_fresh_caches(self, seed):
+        k, N = 3, 14
+        bases, f2, g2 = self.maps(seed, k, N)
+        # f2 is wanted through N - k + 1 and g2 through N, as in compose
+        consumers = [(f2, N - k + 1), (g2, N)]
+        fresh = [series._shifted(h, k, series._PowerProducts(bases, k), W)
+                 for h, W in consumers]
+        for order in ((0, 1), (1, 0)):
+            pp = series._PowerProducts(bases, k)
+            got, bounds = [None, None], []
+            for i in order:
+                h, W = consumers[i]
+                got[i] = series._shifted(h, k, pp, W)
+                bounds.append({t: bound for t, (bound, _) in pp.cache.items()})
+            assert got == fresh
+            if order == (0, 1):
+                # g2 needs some products through more than f2 had them
+                assert any(bounds[1][t] > bound for t, bound in bounds[0].items())
+
+    def test_product_through_each_bound(self):
+        # b1^2 b3^2 asked for directly, so the cache builds its predecessors
+        # itself, and again through larger bounds, which rebuilds them; both
+        # bases have gain 0, so each predecessor is needed through exactly
+        # bound - wt(step)
+        k, N = 3, 14
+        b1 = frame_value({(1, 0, 0): 2, (0, 1, 0): -1, (2, 1, 0): 3}, k)
+        b3 = frame_value({(3, 0, 0): 1, (2, 1, 0): 2, (4, 0, 0): 5, (1, 1, 1): -1}, k)
+        bases = (b1, (), b3)
+        want = b1
+        for b in (b1, b3, b3):
+            want = series._mul_parts(tuple(p.items() for p in want),
+                                     series._sorted_parts(b), N)
+        pp = series._PowerProducts(bases, k)
+        t = series._key(2, 0, 2, k)
+        for bound in (8, 10, 12, 14):
+            got = pp.product(t, bound)
+            assert pp.cache[t][0] == bound
+            assert got == tuple(sorted((key, c) for key, c in p.items()
+                                       if key >> series._S2 <= bound)
+                                for p in want)
+        # a smaller bound reads the cached product
+        assert pp.product(t, 9) is got
+
+    def test_term_at_the_skip_threshold_has_its_image(self):
+        # w + gmin = W exactly: (x + x^3)^2 = x^2 + 2x^4 + x^6 through 4,
+        # and u + x^4 at gain 1 through 4
+        k = 3
+        pp = series._PowerProducts((frame_value({(3, 0, 0): 1}, k), (), ()), k)
+        assert pp.gmin == 2
+        got = series._shifted(frame_value({(2, 0, 0): 1}, k), k, pp, 4)
+        assert got == frame_value({(2, 0, 0): 1, (4, 0, 0): 2}, k)
+        pp = series._PowerProducts(((), (), frame_value({(4, 0, 0): 1}, k)), k)
+        got = series._shifted(frame_value({(0, 0, 1): 1}, k), k, pp, 4)
+        assert got == frame_value({(0, 0, 1): 1, (4, 0, 0): 1}, k)
 
 
 class TestFrameLimit:
