@@ -45,15 +45,8 @@ from .series import GaussRat, RealSeries, to_complex_basis, to_real_basis
 from .symmetry import classify_aut
 from .transform import LinearFactor, pushforward_series
 
-_FORMS = {
-    "t": NormalFormKind.t_normal,
-    "rigid": NormalFormKind.rigid_t,
-    "nt": NormalFormKind.nontransversal,
-    "stanton": NormalFormKind.stanton,
-    "ko1-nontube": NormalFormKind.ko1_nontube,
-    "ko1-tube": NormalFormKind.ko1_tube,
-    "ko1-half": NormalFormKind.ko1_half_type,
-}
+# the --form names, in the order --help lists them
+_FORMS = ("ko1-half", "ko1-nontube", "ko1-tube", "nt", "rigid", "stanton", "t")
 
 
 # ---------------------------------------------------------------- plumbing
@@ -237,7 +230,7 @@ def _cmd_nt(path, args):
 def _cmd_check(path, args):
     F, _ = _as_real(_load_series(path))
     H = Hypersurface.normal_coordinates(F, F.k)
-    violations = check(H, _FORMS[args.form]())
+    violations = check(H, NormalFormKind(args.form))
     report = {"form": args.form, "holds": not violations,
               "violations": [{"family": v.family, "key": list(v.key),
                               "value": _value_json(v.value)}
@@ -344,7 +337,7 @@ _COMMANDS = {
     "nt": ("normal form within the y-independent class", _cmd_nt,
            (_FILES, _JSON, _EACH, _OUT)),
     "check": ("list violated normal form conditions", _cmd_check,
-              ((("--form",), {"required": True, "choices": sorted(_FORMS)}),
+              ((("--form",), {"required": True, "choices": _FORMS}),
                _FILES, _JSON, _EACH)),
     "tube-equiv": ("decide equivalence of two tube graphs", None,
                    ((("files",), {"nargs": 2, "metavar": "file"}), _JSON)),

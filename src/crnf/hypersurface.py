@@ -146,26 +146,34 @@ def _model_coeffs(leading: ComplexSeries):
     return {j: leading.coeff(j, k - j, 0) for j in range(k + 1)}
 
 
-def essential_type(leading: ComplexSeries) -> int:
-    """Least j >= 1 with a nonzero mixed coefficient a_j on z^j zbar^(k-j)."""
+def _model_invariants(leading: ComplexSeries):
+    """(a, mixed, e, L) of a model: its coefficients a_j on z^j zbar^(k-j),
+    the mixed indices j (0 < j < k, a_j != 0) in rising order, the essential
+    type e and the invariant L, None when 2e >= k."""
     a = _model_coeffs(leading)
     k = leading.k
     mixed = [j for j in range(1, k) if a[j]]
     if not mixed:
         raise NotTubeModelError("model has no mixed term: infinite type")
-    return min(mixed)
+    e = mixed[0]
+    L = None
+    if 2 * e < k:
+        L = reduce(gcd, [k - 2 * m for m in range(1, (k + 1) // 2) if a[m]])
+    return a, mixed, e, L
+
+
+def essential_type(leading: ComplexSeries) -> int:
+    """Least j >= 1 with a nonzero mixed coefficient a_j on z^j zbar^(k-j)."""
+    return _model_invariants(leading)[2]
 
 
 def invariant_L(leading: ComplexSeries) -> int:
     """gcd of {k - 2m : a_m != 0, 1 <= m < k/2}; defined only when e < k/2."""
-    a = _model_coeffs(leading)
-    k = leading.k
-    e = essential_type(leading)
-    if 2 * e >= k:
+    _, _, e, L = _model_invariants(leading)
+    if L is None:
         raise StructuralError(
-            f"L is undefined at essential type e = k/2 (e = {e}, k = {k})")
-    vals = [k - 2 * m for m in range(1, (k + 1) // 2) if a[m]]
-    return reduce(gcd, vals)
+            f"L is undefined at essential type e = k/2 (e = {e}, k = {leading.k})")
+    return L
 
 
 def detect_tube_model(leading: ComplexSeries) -> ModelInfo:
@@ -177,15 +185,8 @@ def detect_tube_model(leading: ComplexSeries) -> ModelInfo:
     common value rho must satisfy |rho|^2 = 1.  Pure terms (z^k, zbar^k) are
     ignored here; they are removable by a harmonic shift of w.
     """
-    a = _model_coeffs(leading)
+    a, mixed, e, L = _model_invariants(leading)
     k = leading.k
-    mixed = [j for j in range(1, k) if a[j]]
-    if not mixed:
-        raise NotTubeModelError("model has no mixed term: infinite type")
-    e = min(mixed)
-    L = None
-    if 2 * e < k:
-        L = reduce(gcd, [k - 2 * m for m in range(1, (k + 1) // 2) if a[m]])
 
     is_tube = len(mixed) == k - 1
     rho = None

@@ -4,12 +4,15 @@ whose leading term is x^k.
 Three solvers share one engine: at each weight mu the unknown map
 coefficients act linearly on the weight-mu part of the image, so the
 normal-form conditions become a square linear system over the rationals.
-The system matrix depends only on (k, mode, mu); its inverse is cached with
-an integer form of it, so normalizing many hypersurfaces of the same type
-costs one inversion per weight.  The whole recursion runs in one integer
-frame (see crnf.transform): the graph enters once, each weight's solution
-is applied to it by the graph-transform kernel and composed into the map by
-the compose kernel, and both leave the frame once, at the end.
+Each solved form (t, rigid, nt) is written once, in _form, which both the
+solver and check read.  The system depends only on (k, mode, mu); one
+cached record holds its rows, its slots, its int matrix, its inverse as
+ints over one denominator and the frame keys of the rows and slots, so
+normalizing many hypersurfaces of the same type costs one inversion per
+weight.  The whole recursion runs in one integer frame (see
+crnf.transform): the graph enters once, each weight's solution is applied
+to it by the graph-transform kernel and composed into the map by the
+compose kernel, and both leave the frame once, at the end.
 """
 
 from dataclasses import dataclass
@@ -30,9 +33,6 @@ from .linsolve import invert
 from .series import Frame, GaussRat, RealSeries, _key, rat
 from .transform import FormalMap, _compose_frame, _graph_transform
 
-_TAGS = ("t", "t-ab", "rigid", "nt", "stanton", "ko1-nontube", "ko1-tube", "ko1-half")
-
-
 @dataclass(frozen=True)
 class NormalFormKind:
     """Which set of vanishing conditions to enforce or check.
@@ -47,7 +47,7 @@ class NormalFormKind:
     B: Fraction = None
 
     def __post_init__(self):
-        if self.tag not in _TAGS:
+        if self.tag not in _CHECKERS:
             raise StructuralError(f"unknown normal form tag {self.tag!r}")
         if self.tag == "t-ab":
             if self.A is None or self.B is None:
@@ -107,59 +107,63 @@ class NormalizationResult:
     per_weight_report: tuple  # (weight, unknown count, condition count)
 
 
+# ------------------------------------------------------- the solved forms
+
+def _form(k, mode):
+    """The normal form that check and the solver share for mode "t",
+    "rigid" or "nt": (outside, families).
+
+    outside is None or (index, label): a rigid tail has no u and an nt tail
+    no y, so a tail monomial (j, l, m) whose exponent at that index is
+    positive violates the class under label.  Each family (j, l, label)
+    holds the in-class monomials x^j y^l u^m (every l when l is None) whose
+    coefficients the form sends to zero; t-ab sends those of x^(2k-1) and
+    x^(2k-1) y to its targets instead.  A monomial belongs to the first
+    family that holds it.
+    """
+    forms = {
+        "t": (None, ((0, None, "X[0,l]"), (1, None, "X[1,l]"),
+                     (k - 1, None, "X[k-1,l]"), (k, None, "X[k,l]"),
+                     (2 * k - 1, 0, "X[2k-1,0]"), (2 * k - 1, 1, "X[2k-1,1]"))),
+        "rigid": ((2, "u-term"), ((0, None, "A[0,l]"), (1, None, "A[1,l]"),
+                                  (k - 1, None, "A[k-1,l]"), (k, None, "A[k,l]"))),
+        "nt": ((1, "y-term"), ((0, None, "X[0]"), (k - 1, None, "X[k-1]"),
+                               (k, None, "X[k]"), (2 * k - 1, None, "X[2k-1]"))),
+    }
+    if mode not in forms:
+        raise StructuralError(f"unknown solver mode {mode!r}")
+    return forms[mode]
+
+
+def _family(families, j, l):
+    for fj, fl, label in families:
+        if fj == j and fl in (None, l):
+            return label
+    return None
+
+
 # ---------------------------------------------------------------- checkers
 
-def _check_t(H, A, B):
-    k = H.k
+def _check_form(H, kind):
+    outside, families = _form(H.k, "t" if kind.tag == "t-ab" else kind.tag)
+    n = 2 * H.k - 1
+    targets = {(n, 0, 0): kind.A, (n, 1, 0): kind.B} if kind.tag == "t-ab" else {}
     out = []
-    seen_a = seen_b = False
-    for (j, l, m), c in H.tail().sorted_items():
-        if j in (0, 1, k - 1, k):
-            fam = "X[0,l]" if j == 0 else "X[1,l]" if j == 1 else \
-                "X[k-1,l]" if j == k - 1 else "X[k,l]"
-            out.append(Violation(fam, (j, l, m), c))
-        elif j == 2 * k - 1 and l in (0, 1):
-            fam = "X[2k-1,0]" if l == 0 else "X[2k-1,1]"
-            want = A if (l, m) == (0, 0) else B if (l, m) == (1, 0) else Fraction(0)
-            if (l, m) == (0, 0):
-                seen_a = True
-            if (l, m) == (1, 0):
-                seen_b = True
-            if c != want:
-                out.append(Violation(fam, (j, l, m), c))
-    if not seen_a and A != 0:
-        out.append(Violation("X[2k-1,0]", (2 * k - 1, 0, 0), Fraction(0)))
-    if not seen_b and B != 0:
-        out.append(Violation("X[2k-1,1]", (2 * k - 1, 1, 0), Fraction(0)))
+    for key, c in H.tail().sorted_items():
+        if outside and key[outside[0]]:
+            out.append(Violation(outside[1], key, c))
+            continue
+        label = _family(families, key[0], key[1])
+        if label and c != targets.pop(key, 0):
+            out.append(Violation(label, key, c))
+    # a target left over has no term in the tail: its coefficient is 0
+    for key, want in targets.items():
+        if want:
+            out.append(Violation(_family(families, key[0], key[1]), key, Fraction(0)))
     return out
 
 
-def _check_rigid(H):
-    k = H.k
-    out = []
-    for (j, l, m), c in H.tail().sorted_items():
-        if m > 0:
-            out.append(Violation("u-term", (j, l, m), c))
-        elif j in (0, 1, k - 1, k):
-            fam = "A[0,l]" if j == 0 else "A[1,l]" if j == 1 else \
-                "A[k-1,l]" if j == k - 1 else "A[k,l]"
-            out.append(Violation(fam, (j, l, m), c))
-    return out
-
-
-def _check_nt(H):
-    k = H.k
-    out = []
-    for (j, l, m), c in H.tail().sorted_items():
-        if l > 0:
-            out.append(Violation("y-term", (j, l, m), c))
-        elif j in (0, k - 1, k, 2 * k - 1):
-            fam = {0: "X[0]", k - 1: "X[k-1]", k: "X[k]", 2 * k - 1: "X[2k-1]"}[j]
-            out.append(Violation(fam, (j, l, m), c))
-    return out
-
-
-def _check_stanton(H):
+def _check_stanton(H, kind):
     out = []
     for (j, l, m), c in H.tail().sorted_items():
         if m > 0:
@@ -174,39 +178,45 @@ def _check_stanton(H):
     return out
 
 
-def _check_ko1(H, tag):
+def _check_ko1_half(H, kind):
+    if H.k % 2 != 0:
+        raise UnsupportedTypeError("half-type conditions need even k")
+    half = H.k // 2
+    out = []
+    for (j, l, m), c in (H.complex_form() - H.leading_complex()).sorted_items():
+        if l == 0:
+            out.append(Violation("Z[j,0]", (j, l, m), c))
+        elif j == half and l >= half:
+            out.append(Violation("Z[e,e+j]", (j, l, m), c))
+        elif (j, l) == (2 * half, 2 * half):
+            out.append(Violation("Z[2e,2e]", (j, l, m), c))
+        elif (j, l) == (3 * half, 3 * half):
+            out.append(Violation("Z[3e,3e]", (j, l, m), c))
+        elif (j, l) == (2 * half, 2 * half - 1):
+            out.append(Violation("Z[2e,2e-1]", (j, l, m), c))
+    return out
+
+
+def _check_ko1_tube(H, kind):
+    k = H.k
+    out = []
+    for (j, l, m), c in (H.complex_form() - H.leading_complex()).sorted_items():
+        if l == 0 and j >= 1:
+            out.append(Violation("Z[j,0]", (j, l, m), c))
+        elif j >= k - 1:
+            out.append(Violation("Z[j>=k-1,l]", (j, l, m), c))
+        elif (j, l) == (k - 2, 1) and not c.re == 0:
+            # only the real part is constrained at this index
+            out.append(Violation("Re Z[k-2,1]", (j, l, m), c.re))
+    return out
+
+
+def _check_ko1_nontube(H, kind):
     k = H.k
     lead = H.leading_complex()
     ctail = H.complex_form() - lead
     e = essential_type(lead)
     out = []
-    if tag == "ko1-half":
-        if k % 2 != 0:
-            raise UnsupportedTypeError("half-type conditions need even k")
-        half = k // 2
-        for (j, l, m), c in ctail.sorted_items():
-            if l == 0:
-                out.append(Violation("Z[j,0]", (j, l, m), c))
-            elif j == half and l >= half:
-                out.append(Violation("Z[e,e+j]", (j, l, m), c))
-            elif (j, l) == (2 * half, 2 * half):
-                out.append(Violation("Z[2e,2e]", (j, l, m), c))
-            elif (j, l) == (3 * half, 3 * half):
-                out.append(Violation("Z[3e,3e]", (j, l, m), c))
-            elif (j, l) == (2 * half, 2 * half - 1):
-                out.append(Violation("Z[2e,2e-1]", (j, l, m), c))
-        return out
-    if tag == "ko1-tube":
-        for (j, l, m), c in ctail.sorted_items():
-            if l == 0 and j >= 1:
-                out.append(Violation("Z[j,0]", (j, l, m), c))
-            elif j >= k - 1:
-                out.append(Violation("Z[j>=k-1,l]", (j, l, m), c))
-            elif (j, l) == (k - 2, 1) and not c.re == 0:
-                # only the real part is constrained at this index
-                out.append(Violation("Re Z[k-2,1]", (j, l, m), c.re))
-        return out
-    # ko1-nontube
     model = {(j, l): c for (j, l, m), c in lead.sorted_items() if m == 0}
     for (j, l, m), c in ctail.sorted_items():
         if l == 0 and j >= 1:
@@ -229,26 +239,28 @@ def _check_ko1(H, tag):
     return out
 
 
+# tag -> (whether the form needs leading term x^k, checker(H, kind))
+_CHECKERS = {
+    "t": (True, _check_form),
+    "t-ab": (True, _check_form),
+    "rigid": (True, _check_form),
+    "nt": (True, _check_form),
+    "stanton": (True, _check_stanton),
+    "ko1-nontube": (False, _check_ko1_nontube),
+    "ko1-tube": (False, _check_ko1_tube),
+    "ko1-half": (False, _check_ko1_half),
+}
+
+
 def check(H: Hypersurface, kind: NormalFormKind):
     """List of violated conditions for the given normal form, empty iff H
     satisfies it through weight N.  The x^k-leading forms (t, t-ab, rigid,
     nt, stanton) require strict tube form; the complex-basis forms accept
     any leading with a mixed term and test the tail F minus the model."""
-    tag = kind.tag
-    if tag in ("t", "t-ab", "rigid", "nt", "stanton"):
-        if not H.tube_form:
-            raise StructuralError(f"form {tag!r} needs leading term x^k")
-    if tag == "t":
-        return _check_t(H, Fraction(0), Fraction(0))
-    if tag == "t-ab":
-        return _check_t(H, kind.A, kind.B)
-    if tag == "rigid":
-        return _check_rigid(H)
-    if tag == "nt":
-        return _check_nt(H)
-    if tag == "stanton":
-        return _check_stanton(H)
-    return _check_ko1(H, tag)
+    strict, checker = _CHECKERS[kind.tag]
+    if strict and not H.tube_form:
+        raise StructuralError(f"form {kind.tag!r} needs leading term x^k")
+    return checker(H, kind)
 
 
 # ---------------------------------------------------------------- solver
@@ -258,42 +270,27 @@ _I_IM = (0, 1, 0, -1)
 
 
 def _condition_monomials(k, mode, mu):
+    """The weight-mu monomials of the form's families, family by family,
+    each in rising powers of u."""
+    outside, families = _form(k, mode)
     rows = []
-    if mode == "t":
-        for j in (0, 1, k - 1, k):
-            rest = mu - j
-            for m in range(rest // k + 1):
-                rows.append((j, rest - k * m, m))
-        for l in (0, 1):
-            rest = mu - (2 * k - 1) - l
-            if rest >= 0 and rest % k == 0:
-                rows.append((2 * k - 1, l, rest // k))
-    elif mode == "rigid":
-        for j in (0, 1, k - 1, k):
-            rows.append((j, mu - j, 0))
-    else:  # nt
-        for j in (0, k - 1, k, 2 * k - 1):
-            rest = mu - j
-            if rest >= 0 and rest % k == 0:
-                rows.append((j, 0, rest // k))
+    for j, l, _ in families:
+        for m in range((mu - j) // k + 1):
+            key = (j, mu - j - k * m, m)
+            if l in (None, key[1]) and not (outside and key[outside[0]]):
+                rows.append(key)
     return rows
 
 
 def _unknown_slots(k, mode, mu):
+    """The weight-mu coefficients of f (weight mu - k + 1) and g, each in
+    rising powers of w: a rigid map has no w, an nt map no z."""
     slots = []
-    if mode == "t":
-        wf = mu - k + 1
-        for m in range(wf // k + 1):
-            slots.append(("f", wf - k * m, m))
-        for m in range(mu // k + 1):
-            slots.append(("g", mu - k * m, m))
-    elif mode == "rigid":
-        slots = [("f", mu - k + 1, 0), ("g", mu, 0)]
-    else:  # nt
-        if (mu - k + 1) % k == 0:
-            slots.append(("f", 0, (mu - k + 1) // k))
-        if mu % k == 0:
-            slots.append(("g", 0, mu // k))
+    for which, wt in (("f", mu - k + 1), ("g", mu)):
+        for m in range(wt // k + 1):
+            j = wt - k * m
+            if not (mode == "rigid" and m or mode == "nt" and j):
+                slots.append((which, j, m))
     return [s + (part,) for s in slots for part in ("re", "im")]
 
 
@@ -325,18 +322,22 @@ _system_cache = {}
 
 
 def weight_system(k, mode, mu):
-    """(rows, slots, matrix, inverse) of the weight-mu linear system.
+    """The weight-mu linear system of mode "t", "rigid" or "nt", as one
+    record (rows, slots, matrix, (delta, inverse), row_keys, slot_keys,
+    irows), cached per (k, mode, mu).
 
     rows are condition monomials (j, l, m); slots are unknown labels
-    ("f"|"g", j, m, "re"|"im"); matrix[r][c] is the coefficient of slot c
-    in the condition for row r.  matrix and inverse hold Fractions, but
-    the system is built and inverted on ints.  Cached per (k, mode, mu),
-    with the integer form of the inverse the solvers use (_frame_system).
+    ("f"|"g", j, m, "re"|"im"); matrix[r][c] is the int coefficient of slot
+    c in the condition for row r, and inverse / delta is its inverse (int
+    rows over their least common denominator).  The rest is what _solve
+    reads on frame values: row_keys are the frame keys of the rows,
+    slot_keys[c] is (which, part, key) for slot c with key the frame key of
+    z^j w^m, and irows[r] lists the pairs (c, n) with inverse[r][c] = n != 0.
     """
     key = (k, mode, mu)
     hit = _system_cache.get(key)
     if hit is not None:
-        return hit[:4]
+        return hit
     rows = _condition_monomials(k, mode, mu)
     slots = _unknown_slots(k, mode, mu)
     if len(rows) != len(slots):
@@ -345,28 +346,12 @@ def weight_system(k, mode, mu):
     cols = [_column(k, s[0], s[1], s[2], s[3]) for s in slots]
     matrix = [[col.get(r, 0) for col in cols] for r in rows]
     delta, inv = invert(matrix) if rows else (1, [])
-    zero = Fraction(0)  # both are mostly zeros; one shared Fraction for them
-
-    def rats(ints, d):
-        return [[Fraction(a, d) if a else zero for a in row] for row in ints]
-
-    _system_cache[key] = (rows, slots, rats(matrix, 1), rats(inv, delta),
-                          _frame_system(k, rows, slots, delta, inv))
-    return _system_cache[key][:4]
-
-
-def _frame_system(k, rows, slots, delta, inv):
-    """The weight system in the form _solve uses on frame values:
-    (row_keys, slot_keys, delta, irows).  row_keys are the frame keys of the
-    condition monomials; slot_keys[c] is (which, part, key) for the slot
-    (which, j, m, part) of column c, with key the frame key of z^j w^m.
-    inv / delta is the inverse (ints over their least common denominator),
-    and each of irows lists the pairs (column, n) with inv[row][column] = n,
-    n != 0."""
-    irows = [[(c, n) for c, n in enumerate(row) if n] for row in inv]
-    row_keys = [_key(j, l, m, k) for j, l, m in rows]
-    slot_keys = [(which, part, _key(j, 0, m, k)) for which, j, m, part in slots]
-    return row_keys, slot_keys, delta, irows
+    hit = _system_cache[key] = (
+        rows, slots, matrix, (delta, inv),
+        [_key(j, l, m, k) for j, l, m in rows],
+        [(which, part, _key(j, 0, m, k)) for which, j, m, part in slots],
+        [[(c, n) for c, n in enumerate(row) if n] for row in inv])
+    return hit
 
 
 def _solve(H, mode, targets):
@@ -381,11 +366,9 @@ def _solve(H, mode, targets):
     f, g = ({}, {}), ({}, {})
     report = []
     for mu in range(k + 1, N + 1):
-        rows, slots, _, _ = weight_system(k, mode, mu)
+        rows, slots, _, (delta, _), row_keys, slot_keys, irows = \
+            weight_system(k, mode, mu)
         report.append((mu, len(slots), len(rows)))
-        if not rows:
-            continue
-        row_keys, slot_keys, delta, irows = _system_cache[(k, mode, mu)][4]
         rhs = [Fx.get(key, 0) - tx.get(key, 0) for key in row_keys]
         if not any(rhs):
             continue

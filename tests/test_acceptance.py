@@ -89,7 +89,7 @@ def test_criterion_3_solver_rows_match_closed_forms():
         rng = seeded(9003)
 
         def row_of(k, mu, key):
-            rows, slots, matrix, _ = weight_system(k, "t", mu)
+            rows, slots, matrix, *_ = weight_system(k, "t", mu)
             ri = rows.index(key)
             return {slots[c]: matrix[ri][c]
                     for c in range(len(slots)) if matrix[ri][c] != 0}
@@ -97,7 +97,7 @@ def test_criterion_3_solver_rows_match_closed_forms():
         for i in range(50):
             k = rng.choice((3, 4, 5))
             mu = rng.randint(k + 1, 3 * k)
-            rows, _, _, _ = weight_system(k, "t", mu)
+            rows, *_ = weight_system(k, "t", mu)
             key = rows[rng.randrange(len(rows))]
             if row_of(k, mu, key) != closed_row(k, *key):
                 notes.append(f"#{i}: row {key} at k={k} mu={mu} differs")

@@ -251,7 +251,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_rows_match_hand_formulas(self, k):
         for mu in range(k + 1, 3 * k + 1):
-            rows, slots, matrix, _ = weight_system(k, "t", mu)
+            rows, slots, matrix, *_ = weight_system(k, "t", mu)
             for ri, key in enumerate(rows):
                 got = {slots[c]: matrix[ri][c]
                        for c in range(len(slots)) if matrix[ri][c] != 0}
@@ -261,30 +261,32 @@ class TestClosedForms:
     def test_systems_square_and_nonsingular(self, k):
         for mode in ("t", "rigid", "nt"):
             for mu in range(k + 1, 3 * k + 1):
-                rows, slots, _, inv = weight_system(k, mode, mu)
+                rows, slots, _, (_, inv), *_ = weight_system(k, mode, mu)
                 assert len(rows) == len(slots)
                 assert len(inv) == len(rows)
 
     def test_fractions_out_of_an_integer_fill(self, monkeypatch):
-        # a cold fill: the matrix and inverse it returns are Fractions, their
-        # product is exact, and the solvers' integer form is inverse * delta
+        # a cold fill: the matrix and the inverse (over delta) are ints,
+        # matrix * inverse is delta times the identity, and the sparse rows
+        # the solver reads are the inverse's nonzero entries
         monkeypatch.setattr(normalize, "_system_cache", {})
         for mode in ("t", "rigid", "nt"):
             for mu in range(5, 17):
-                rows, slots, matrix, inv = weight_system(4, mode, mu)
+                rows, slots, matrix, (delta, inv), _, _, irows = \
+                    weight_system(4, mode, mu)
                 n = len(rows)
-                assert all(type(a) is Q for M in (matrix, inv)
+                assert type(delta) is int and delta > 0
+                assert all(type(a) is int for M in (matrix, inv)
                            for row in M for a in row)
                 assert [[sum(matrix[i][t] * inv[t][j] for t in range(n))
                          for j in range(n)] for i in range(n)] == \
-                    [[int(i == j) for j in range(n)] for i in range(n)]
-                _, _, delta, irows = normalize._system_cache[(4, mode, mu)][4]
-                assert [{c: Q(m, delta) for c, m in row} for row in irows] == \
-                    [{c: a for c, a in enumerate(row) if a} for row in inv]
+                    [[delta * (i == j) for j in range(n)] for i in range(n)]
+                assert irows == [[(c, a) for c, a in enumerate(row) if a]
+                                 for row in inv]
 
     def test_rigid_rows_are_m0_slice(self):
-        rows, slots, matrix, _ = weight_system(4, "rigid", 7)
-        trows, tslots, tmatrix, _ = weight_system(4, "t", 7)
+        rows, slots, matrix, *_ = weight_system(4, "rigid", 7)
+        trows, tslots, tmatrix, *_ = weight_system(4, "t", 7)
         for ri, key in enumerate(rows):
             ti = trows.index(key)
             for ci, slot in enumerate(slots):
@@ -294,9 +296,31 @@ class TestClosedForms:
         for k in (3, 4, 5):
             for mode in ("t", "rigid", "nt"):
                 for mu in range(k + 1, 3 * k + 1):
-                    rows, slots, _, _ = weight_system(k, mode, mu)
+                    rows, slots, *_ = weight_system(k, mode, mu)
                     assert sorted(rows) == sorted(oracle.conditions_at(k, mode, mu))
                     assert sorted(slots) == sorted(oracle.slots_at(k, mode, mu))
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_check_flags_the_solver_rows(self, k):
+        # x^k plus every in-class monomial of weight mu: check flags exactly
+        # the rows the solver sends to zero at that weight
+        kinds = {"t": NormalFormKind.t_normal(), "rigid": NormalFormKind.rigid_t(),
+                 "nt": NormalFormKind.nontransversal()}
+        for mode, kind in kinds.items():
+            for mu in range(k + 1, 3 * k + 1):
+                tail = {(j, mu - j - k * m, m): 1
+                        for m in range(mu // k + 1) for j in range(mu - k * m + 1)
+                        if not (mode == "rigid" and m or mode == "nt" and mu - j - k * m)}
+                flagged = sorted(v.key for v in check(H_of(tail, k, 3 * k), kind))
+                rows, *_ = weight_system(k, mode, mu)
+                assert flagged == sorted(rows) == \
+                    sorted(oracle.conditions_at(k, mode, mu)), (mode, mu)
+
+    def test_unknown_mode_rejected(self, monkeypatch):
+        monkeypatch.setattr(normalize, "_system_cache", {})
+        with pytest.raises(StructuralError, match="'bogus'"):
+            weight_system(4, "bogus", 7)
+        assert normalize._system_cache == {}
 
 
 # ---------------------------------------------------------- t-normalize
