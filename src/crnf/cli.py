@@ -28,7 +28,6 @@ the command.
 """
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -430,6 +429,8 @@ def main(argv=None) -> int:
 
 def _print_entries(entries, as_json):
     if as_json:
+        # imported here: a call without --json does not pay for it
+        import json
         if entries[0][0] is None:
             print(json.dumps(entries[0][2], indent=2))
         else:

@@ -10,7 +10,6 @@ dilation exponent can force an irrational delta; those are returned as
 exact radical records and every consistency check stays rational.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -23,6 +22,7 @@ from .errors import (
 )
 from .hypersurface import Hypersurface
 from .normalize import NormalFormKind, check
+from .record import Record
 from .series import Frame, GaussRat, RealSeries, _PowerProducts, _shifted
 from .transform import FormalMap, LinearFactor, apply_linear_series, pushforward_series
 
@@ -53,8 +53,7 @@ def _perfect_root(q, r):
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class RadicalReal:
+class RadicalReal(Record):
     """The real number sign * base^(1/root_index), kept exact.
 
     Canonical: base > 0 and not a perfect p-th power for any prime p
@@ -62,9 +61,7 @@ class RadicalReal:
     make(), which collapses to a plain Fraction when the root is exact.
     """
 
-    base: Fraction
-    root_index: int
-    sign: int
+    __slots__ = ("base", "root_index", "sign")
 
     def __post_init__(self):
         if self.base <= 0 or self.root_index < 2 or self.sign not in (1, -1):
@@ -103,8 +100,7 @@ class RadicalReal:
         return f"{s}({self.base})^(1/{self.root_index})"
 
 
-@dataclass(frozen=True)
-class TubeWitness:
+class TubeWitness(Record):
     """Parameters of a verified map z* = az + ibw, w* = cw with
     G(ax - bF(x)) = cF(x) through weight N.
 
@@ -116,13 +112,7 @@ class TubeWitness:
     leading scalings, the two shift parameters, and the dilation.
     """
 
-    a: object
-    b: object
-    c: object
-    b_parts: tuple
-    sign_ambiguous: bool
-    factors: tuple
-    N: int
+    __slots__ = ("a", "b", "c", "b_parts", "sign_ambiguous", "factors", "N")
 
     def __post_init__(self):
         if self.a == 0 or self.c == 0:

@@ -13,7 +13,6 @@ essential type e, the rotation invariant L, and for tube models the ratio
 rho and scale lambda with mixed part = lambda * (alpha z + conj(alpha) zbar)^k.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb as binom, gcd
@@ -24,6 +23,7 @@ from .errors import (
     NotTubeModelError,
     StructuralError,
 )
+from .record import Record
 from .series import (
     ComplexSeries,
     GaussRat,
@@ -81,6 +81,10 @@ class Hypersurface:
     def __setattr__(self, name, value):
         raise AttributeError("Hypersurface is immutable; build a new one")
 
+    def __reduce__(self):
+        # a tube_form graph passes the strict check, any other the general one
+        return Hypersurface, (self.F, self.basis, self.tube_form)
+
     @classmethod
     def validate(cls, F: RealSeries, k: int, basis="xyu") -> "Hypersurface":
         """Strict constructor: weight-k part must be exactly x^k."""
@@ -120,16 +124,18 @@ class Hypersurface:
                 f"{len(self.F.coeffs)} terms, tube_form={self.tube_form})")
 
 
-@dataclass(frozen=True)
-class ModelInfo:
+class ModelInfo(Record):
     """Invariants of a weight-k model (the leading part in the z, zbar basis)."""
-    k: int
-    e: int                      # essential type: least j >= 1 with a_j != 0
-    L: int | None               # gcd{k - 2m : a_m != 0, m < k/2}; None iff 2e = k
-    is_tube: bool               # mixed part equals lambda*(alpha z + conj zbar)^k
-    rho: GaussRat | None        # alpha^2, the tube ratio invariant
-    alpha_pow: int | None       # t with alpha = i^t when rho in {1, -1}, else None
-    lam: Fraction | None        # real scale lambda, set when alpha_pow is set
+
+    __slots__ = (
+        "k",            # int: the type
+        "e",            # int: essential type, least j >= 1 with a_j != 0
+        "L",            # int | None: gcd{k - 2m : a_m != 0, m < k/2}; None iff 2e = k
+        "is_tube",      # bool: mixed part equals lambda*(alpha z + conj zbar)^k
+        "rho",          # GaussRat | None: alpha^2, the tube ratio invariant
+        "alpha_pow",    # int | None: t with alpha = i^t when rho in {1, -1}, else None
+        "lam",          # Fraction | None: real scale lambda, set when alpha_pow is set
+    )
 
 
 def _model_coeffs(leading: ComplexSeries):
@@ -215,13 +221,11 @@ def detect_tube_model(leading: ComplexSeries) -> ModelInfo:
                      alpha_pow=alpha_pow, lam=lam)
 
 
-@dataclass(frozen=True)
-class PrenormalizationRecord:
+class PrenormalizationRecord(Record):
     """The exact change of coordinates applied by prenormalize_tube:
     first z -> i^rot z, then w -> w_scale * w, then w -> w + harmonic * z^k."""
-    rot: int
-    w_scale: Fraction
-    harmonic: GaussRat
+
+    __slots__ = ("rot", "w_scale", "harmonic")
 
 
 def prenormalize_tube(F: RealSeries):

@@ -15,7 +15,6 @@ to it by the graph-transform kernel and composed into the map by the
 compose kernel, and both leave the frame once, at the end.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
@@ -30,11 +29,12 @@ from .errors import (
 )
 from .hypersurface import Hypersurface, essential_type
 from .linsolve import invert
+from .record import Record
 from .series import Frame, GaussRat, RealSeries, _key, rat
 from .transform import FormalMap, _compose_frame, _graph_transform
 
-@dataclass(frozen=True)
-class NormalFormKind:
+
+class NormalFormKind(Record):
     """Which set of vanishing conditions to enforce or check.
 
     The "t-ab" variant prescribes the two otherwise-normalized constants:
@@ -42,9 +42,8 @@ class NormalFormKind:
     instead of zero.
     """
 
-    tag: str
-    A: Fraction = None
-    B: Fraction = None
+    __slots__ = ("tag", "A", "B")
+    _defaults = {"A": None, "B": None}
 
     def __post_init__(self):
         if self.tag not in _CHECKERS:
@@ -90,21 +89,19 @@ class NormalFormKind:
         return cls("ko1-half")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One failed condition: the family label, the offending index, and the
     coefficient found there (Fraction in the xyu basis, GaussRat in zzu)."""
 
-    family: str
-    key: tuple
-    value: object
+    __slots__ = ("family", "key", "value")
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
-    H_normal: Hypersurface
-    T: FormalMap
-    per_weight_report: tuple  # (weight, unknown count, condition count)
+class NormalizationResult(Record):
+    """The normalized graph H_normal, the map T that carries the input to
+    it, and per_weight_report, a tuple of (weight, unknown count, condition
+    count)."""
+
+    __slots__ = ("H_normal", "T", "per_weight_report")
 
 
 # ------------------------------------------------------- the solved forms
@@ -324,7 +321,8 @@ _system_cache = {}
 def weight_system(k, mode, mu):
     """The weight-mu linear system of mode "t", "rigid" or "nt", as one
     record (rows, slots, matrix, (delta, inverse), row_keys, slot_keys,
-    irows), cached per (k, mode, mu).
+    irows), cached per (k, mode, mu).  The solvers reach mu = k + 1..N;
+    mu <= k raises StructuralError.
 
     rows are condition monomials (j, l, m); slots are unknown labels
     ("f"|"g", j, m, "re"|"im"); matrix[r][c] is the int coefficient of slot
@@ -338,6 +336,8 @@ def weight_system(k, mode, mu):
     hit = _system_cache.get(key)
     if hit is not None:
         return hit
+    if mu <= k:
+        raise StructuralError(f"weight {mu} <= k = {k}: no normalization system")
     rows = _condition_monomials(k, mode, mu)
     slots = _unknown_slots(k, mode, mu)
     if len(rows) != len(slots):

@@ -70,6 +70,9 @@ class GaussRat:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
+    def __reduce__(self):
+        return GaussRat, (self.re, self.im)
+
     @staticmethod
     def of(x) -> "GaussRat":
         if isinstance(x, GaussRat):
@@ -228,6 +231,9 @@ class _Series:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; build a new one")
+
+    def __reduce__(self):
+        return type(self), (self.k, self.N, self.coeffs)
 
     @classmethod
     def zero(cls, k, N):

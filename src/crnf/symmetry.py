@@ -10,7 +10,6 @@ never evaluated numerically: for theta = 2 pi p/n the angular factor is
 keeps the whole test inside rational arithmetic.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -18,17 +17,16 @@ from math import gcd
 from .errors import InternalError, StructuralError
 from .hypersurface import Hypersurface, essential_type
 from .normalize import NormalFormKind, check
+from .record import Record
 from .series import rat
 from .transform import LinearFactor, apply_linear_series
 
 
-@dataclass(frozen=True)
-class RootRotation:
+class RootRotation(Record):
     """z* = delta exp(2 pi i power/order) z, w* = delta^k w."""
 
-    order: int
-    power: int = 1
-    delta: Fraction = Fraction(1)
+    __slots__ = ("order", "power", "delta")
+    _defaults = {"power": 1, "delta": Fraction(1)}
 
     def __post_init__(self):
         if not isinstance(self.order, int) or self.order < 1:
@@ -90,8 +88,7 @@ def rotation_order(H: Hypersurface):
 _AUT_TAGS = ("Dim3", "RplusZ", "Circle", "Zm")
 
 
-@dataclass(frozen=True)
-class AutClass:
+class AutClass(Record):
     """Shape of the group of local symmetries fixing the origin.
 
     tag is one of: Dim3 (three-dimensional group; the graph is exactly
@@ -104,10 +101,8 @@ class AutClass:
     coordinates.
     """
 
-    tag: str
-    m: int = None
-    evidence: tuple = ()
-    conditional: bool = False
+    __slots__ = ("tag", "m", "evidence", "conditional")
+    _defaults = {"m": None, "evidence": (), "conditional": False}
 
     def __post_init__(self):
         if self.tag not in _AUT_TAGS:

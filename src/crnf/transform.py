@@ -99,11 +99,11 @@ solutions need, so frame values stay far smaller than with a fresh frame
 per weight.  The graph and the map leave the frame once, at the end.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, StructuralError, UnsupportedTypeError
 from .hypersurface import Hypersurface
+from .record import Record
 from .series import (
     Frame,
     GaussRat,
@@ -118,11 +118,11 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class LinearFactor:
+class LinearFactor(Record):
     """z* = delta i^rot z, w* = delta^k w with delta a nonzero rational."""
-    delta: Fraction = Fraction(1)
-    rot: int = 0
+
+    __slots__ = ("delta", "rot")
+    _defaults = {"delta": Fraction(1), "rot": 0}
 
     def __post_init__(self):
         d = Fraction(self.delta)
@@ -175,6 +175,9 @@ class FormalMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalMap is immutable; build a new one")
+
+    def __reduce__(self):
+        return FormalMap, (self.f, self.g, self.linear)
 
     @classmethod
     def identity(cls, k, N):

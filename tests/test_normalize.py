@@ -316,6 +316,18 @@ class TestClosedForms:
                 assert flagged == sorted(rows) == \
                     sorted(oracle.conditions_at(k, mode, mu)), (mode, mu)
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("mode", ["t", "rigid", "nt"])
+    def test_weights_up_to_k_rejected(self, monkeypatch, mode, k):
+        # the solvers reach mu = k + 1..N; below that there is no system
+        monkeypatch.setattr(normalize, "_system_cache", {})
+        for mu in (1, k - 1, k):
+            with pytest.raises(StructuralError, match=f"weight {mu} <= k = {k}"):
+                weight_system(k, mode, mu)
+        assert normalize._system_cache == {}
+        rows, slots, *_ = weight_system(k, mode, k + 1)
+        assert len(rows) == len(slots)
+
     def test_unknown_mode_rejected(self, monkeypatch):
         monkeypatch.setattr(normalize, "_system_cache", {})
         with pytest.raises(StructuralError, match="'bogus'"):
