@@ -15,8 +15,9 @@ files then need an explicit --out).  Several files at once need --each.
 CRNF_MAX_WEIGHT in the environment rejects inputs whose truncation
 weight N exceeds it.
 
-Each call builds the argument parser of its command alone; help, a call
-without a command and an unknown command build the parsers of all of them.
+A call that names a command builds one flat parser for that command alone;
+help, a call without a command, an unknown command and an option before the
+command build the parser with the subparsers of all of them.
 
 Exit codes: 0 the computation succeeded or the checked property holds,
 1 a checked condition fails or the inputs are inequivalent, 2 malformed
@@ -85,6 +86,15 @@ def _as_real(S):
     if isinstance(S, RealSeries):
         return S, "xyu"
     return to_real_basis(S), "zzu"
+
+
+def _load_normal_coordinates(path):
+    """The hypersurface of a file, in normal coordinates.  A zzu file's
+    series is handed over as its complex form, so it is not converted back."""
+    S = _load_series(path)
+    if isinstance(S, RealSeries):
+        return Hypersurface.normal_coordinates(S, S.k)
+    return Hypersurface.normal_coordinates(to_real_basis(S), S.k, _complex=S)
 
 
 def _serialize_in(F, basis):
@@ -168,15 +178,14 @@ def _gen_text(g):
 # --------------------------------------------------------------- commands
 
 def _cmd_analyze(path, args):
-    F, _ = _as_real(_load_series(path))
-    H = Hypersurface.normal_coordinates(F, F.k)
+    H = _load_normal_coordinates(path)
     info = detect_tube_model(H.leading_complex())
-    report = {"k": info.k, "N": F.N, "essential_type": info.e,
+    report = {"k": info.k, "N": H.N, "essential_type": info.e,
               "invariant_L": info.L, "tube_model": info.is_tube,
               "tube_form": H.tube_form}
     lines = [
         f"k = {info.k}",
-        f"N = {F.N}",
+        f"N = {H.N}",
         f"essential type e = {info.e}",
         ("invariant L = undefined (2e = k)" if info.L is None
          else f"invariant L = {info.L}"),
@@ -227,8 +236,7 @@ def _cmd_nt(path, args):
 
 
 def _cmd_check(path, args):
-    F, _ = _as_real(_load_series(path))
-    H = Hypersurface.normal_coordinates(F, F.k)
+    H = _load_normal_coordinates(path)
     violations = check(H, NormalFormKind(args.form))
     report = {"form": args.form, "holds": not violations,
               "violations": [{"family": v.family, "key": list(v.key),
@@ -244,8 +252,7 @@ def _cmd_check(path, args):
 
 
 def _cmd_classify(path, args):
-    F, _ = _as_real(_load_series(path))
-    H = Hypersurface.normal_coordinates(F, F.k)
+    H = _load_normal_coordinates(path)
     cls = classify_aut(H)
     report = {"class": cls.tag, "m": cls.m, "conditional": cls.conditional,
               "generators": [_gen_json(g) for g in cls.evidence]}
@@ -349,21 +356,48 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command=None):
-    """The crnf parser with the subparser of `command` alone, or with all of
-    them when command is None."""
+def _add_command(parser, name):
+    """Give parser the defaults and arguments of command `name`."""
+    _, handler, arguments = _COMMANDS[name]
+    parser.set_defaults(command=name, handler=handler, out=None)
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+
+
+def _build_parser():
+    """The crnf parser with the subparsers of every command."""
     p = argparse.ArgumentParser(
         prog="crnf",
         description="Exact normal forms, equivalence witnesses, and "
                     "symmetry classes for finite-type hypersurface graphs.")
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (help_text, handler, arguments) in _COMMANDS.items():
-        if command in (None, name):
-            sp = sub.add_parser(name, help=help_text)
-            sp.set_defaults(handler=handler, out=None)
-            for flags, kwargs in arguments:
-                sp.add_argument(*flags, **kwargs)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return p
+
+
+def _command_parser(name):
+    """The flat parser of command `name`: the subparser that _build_parser
+    gives it (same prog, no description), standing alone."""
+    p = argparse.ArgumentParser(prog=f"crnf {name}")
+    _add_command(p, name)
+    return p
+
+
+def _parse_args(argv):
+    """The namespace of argv.  An argv led by a command name is read by that
+    command's flat parser; arguments it leaves over are reported by a bare
+    crnf parser, in the words and usage line the full parser would use.  Any
+    other argv (help, no command, an unknown one, an option first) gets the
+    full parser."""
+    if not argv or argv[0] not in _COMMANDS:
+        return _build_parser().parse_args(argv)
+    args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+    if extras:
+        bare = argparse.ArgumentParser(prog="crnf")
+        bare.add_subparsers(metavar="command")
+        bare.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 # the exit code of each error reported as "error: <message>"
@@ -405,11 +439,7 @@ def _dispatch(args):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # argv led by a command name needs that command's subparser alone; any
-    # other argv (help, no command, an unknown one, an option first) gets
-    # them all, so argparse words its help and errors as always
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    args = _parse_args(argv)
     try:
         entries = _dispatch(args)
     except tuple(_EXIT_CODES) as exc:

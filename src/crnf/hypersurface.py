@@ -38,11 +38,18 @@ from .series import (
 
 
 class Hypersurface:
-    """Graph v = F(x, y, u) of finite type k, truncated at weight N."""
+    """Graph v = F(x, y, u) of finite type k, truncated at weight N.
 
-    __slots__ = ("k", "N", "F", "basis", "tube_form")
+    F in the z, zbar basis (complex_form) and its weight-k part
+    (leading_complex) are each converted at most once and then kept.  A
+    caller that already holds F in that basis hands it over as _complex,
+    so it is never converted back.  The kept forms are derived from F, so
+    equality, pickling and copying ignore them.
+    """
 
-    def __init__(self, F: RealSeries, basis="xyu", _strict=True):
+    __slots__ = ("k", "N", "F", "basis", "tube_form", "_complex", "_lead_complex")
+
+    def __init__(self, F: RealSeries, basis="xyu", _strict=True, _complex=None):
         if basis not in ("xyu", "zzu"):
             raise StructuralError(f"unknown basis tag {basis!r}")
         k, N = F.k, F.N
@@ -53,6 +60,7 @@ class Hypersurface:
             raise StructuralError(
                 f"F contains a term of weight {mw} < k = {k}")
         lead = F.weight_part(k)
+        clead = None
         if _strict:
             xk = RealSeries.monomial(k, N, k, 0, 0)
             if lead != xk:
@@ -67,7 +75,8 @@ class Hypersurface:
             if lead.depends_on_u():
                 raise StructuralError(
                     "weight-k part contains u: not in normal coordinates")
-            clead = to_complex_basis(lead)
+            clead = (to_complex_basis(lead) if _complex is None
+                     else _complex.weight_part(k))
             if not any(0 < j < k for (j, l, m) in clead.coeffs):
                 raise NotTubeModelError(
                     "weight-k part has no mixed term: infinite type")
@@ -77,6 +86,8 @@ class Hypersurface:
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "tube_form", tube_form)
+        object.__setattr__(self, "_complex", _complex)
+        object.__setattr__(self, "_lead_complex", clead)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypersurface is immutable; build a new one")
@@ -93,24 +104,35 @@ class Hypersurface:
         return cls(F, basis=basis, _strict=True)
 
     @classmethod
-    def normal_coordinates(cls, F: RealSeries, k: int, basis="xyu") -> "Hypersurface":
+    def normal_coordinates(cls, F: RealSeries, k: int, basis="xyu",
+                           _complex=None) -> "Hypersurface":
         """General constructor: any weight-k model with a mixed term."""
         if F.k != k:
             raise StructuralError(f"series type tag {F.k} != requested k = {k}")
-        return cls(F, basis=basis, _strict=False)
+        return cls(F, basis=basis, _strict=False, _complex=_complex)
 
     def leading(self) -> RealSeries:
         return self.F.weight_part(self.k)
 
     def leading_complex(self) -> ComplexSeries:
-        return to_complex_basis(self.leading())
+        lead = self._lead_complex
+        if lead is None:
+            C = self._complex
+            lead = (to_complex_basis(self.leading()) if C is None
+                    else C.weight_part(self.k))
+            object.__setattr__(self, "_lead_complex", lead)
+        return lead
 
     def tail(self) -> RealSeries:
         """F minus its weight-k model (all terms of weight > k)."""
         return self.F - self.leading()
 
     def complex_form(self) -> ComplexSeries:
-        return to_complex_basis(self.F)
+        C = self._complex
+        if C is None:
+            C = to_complex_basis(self.F)
+            object.__setattr__(self, "_complex", C)
+        return C
 
     def __eq__(self, other):
         if not isinstance(other, Hypersurface):
@@ -217,8 +239,7 @@ def detect_tube_model(leading: ComplexSeries) -> ModelInfo:
                 if not lam_g.is_real() or lam_g.re == 0:
                     raise InternalError(f"tube scale {lam_g} is not a nonzero real")
                 lam = lam_g.re
-    return ModelInfo(k=k, e=e, L=L, is_tube=is_tube, rho=rho,
-                     alpha_pow=alpha_pow, lam=lam)
+    return ModelInfo(k, e, L, is_tube, rho, alpha_pow, lam)
 
 
 class PrenormalizationRecord(Record):

@@ -12,18 +12,32 @@ constructor calls last; it may normalise a field through
 object.__setattr__.
 
 Record generates no code when a class is defined, so defining one costs no
-more than a plain class.
+more than a plain class.  It only records, per class, the defaults of the
+trailing fields in field order (_tail), so that a positional call which
+leaves some of them out is bound without _bind.
 """
 
 
 class Record:
     __slots__ = ()
     _defaults = {}
+    _tail = ()
+
+    def __init_subclass__(cls):
+        tail = []
+        for name in reversed(cls.__slots__):
+            if name not in cls._defaults:
+                break
+            tail.append(cls._defaults[name])
+        cls._tail = tuple(reversed(tail))
 
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
-        if kwargs or len(args) != len(fields):
+        missing = len(fields) - len(args)
+        if kwargs or not 0 <= missing <= len(self._tail):
             args = self._bind(args, kwargs)
+        elif missing:
+            args += self._tail[-missing:]
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
         self.__post_init__()

@@ -764,6 +764,10 @@ def _add_by_weight(E: tuple, parts: tuple):
 #     z^p zbar^q   =         sum_r K[r] i^r x^(d-r) y^r.
 # They run on the integer numerators over D, the lcm of the input's
 # denominators, and each output coefficient leaves once as a fraction.
+# A real series has c_{lpm} = conj(c_{plm}) in the z, zbar basis, so each
+# conversion forms only the half with p <= q: to_complex_basis mirrors it
+# by conjugation, and to_real_basis reads the pair of z^p zbar^q and
+# z^q zbar^p as 2 Re(c_{pqm} z^p zbar^q).
 
 @lru_cache(maxsize=None)
 def _binomial_table(p: int, q: int) -> tuple:
@@ -817,7 +821,8 @@ def to_complex_basis(f: RealSeries) -> ComplexSeries:
         n = c.numerator * (D // c.denominator) * (-1 if q & 2 else 1)
         out, d = parts[q & 1], p + q
         get = out.get
-        for r, kr in enumerate(_binomial_table(p, q)):
+        # the outputs z^r zbar^(d-r) with r <= d - r; the rest mirror them
+        for r, kr in enumerate(_binomial_table(p, q)[:d // 2 + 1]):
             if kr:
                 key = (r, d - r, m)
                 out[key] = get(key, 0) + n * kr
@@ -826,8 +831,13 @@ def to_complex_basis(f: RealSeries) -> ComplexSeries:
     for key in re.keys() | im.keys():
         nr, ni = re.get(key, 0), im.get(key, 0)
         if nr or ni:
-            den = D << (key[0] + key[1])
-            coeffs[key] = GaussRat(Fraction(nr, den), Fraction(ni, den))
+            r, s, m = key
+            den = D << (r + s)
+            a = Fraction(nr, den) if nr else RAT_ZERO
+            b = Fraction(ni, den) if ni else RAT_ZERO
+            coeffs[key] = GaussRat(a, b)
+            if r < s:
+                coeffs[(s, r, m)] = GaussRat(a, -b)
     return ComplexSeries._raw(f.k, f.N, coeffs)
 
 
@@ -836,6 +846,36 @@ def to_real_basis(f: ComplexSeries) -> RealSeries:
     the reality symmetry c_{jlm} = conj(c_{ljm}); otherwise the substitution
     z = x + iy leaves imaginary parts and a StructuralError names the lowest
     such monomial (by weight, then key)."""
+    partner = f.coeffs.get
+    half = []
+    for (p, q, m), c in f.coeffs.items():
+        o = partner((q, p, m))
+        if (o is None or o.re != c.re or o.im.numerator != -c.im.numerator
+                or o.im.denominator != c.im.denominator):
+            return _to_real_basis_full(f)
+        if p <= q:
+            half.append((p, q, m, c))
+    D = lcm(*(x.denominator for *_, c in half for x in (c.re, c.im)))
+    re = {}
+    get = re.get
+    for p, q, m, c in half:
+        # Re((a + ib) i^r) is a, -b, -a, b as r % 4 = 0, 1, 2, 3
+        a = c.re.numerator * (D // c.re.denominator)
+        b = c.im.numerator * (D // c.im.denominator)
+        if p < q:
+            a, b = 2 * a, 2 * b
+        signed = (a, -b, -a, b)
+        d = p + q
+        for r, kr in enumerate(_binomial_table(p, q)):
+            if kr:
+                key = (d - r, r, m)
+                re[key] = get(key, 0) + signed[r & 3] * kr
+    return RealSeries._raw(f.k, f.N, {key: Fraction(v, D) for key, v in re.items() if v})
+
+
+def _to_real_basis_full(f: ComplexSeries) -> RealSeries:
+    """to_real_basis by expanding every term; it names the lowest monomial
+    with an imaginary coefficient when the symmetry fails."""
     D = lcm(*(x.denominator for c in f.coeffs.values() for x in (c.re, c.im)))
     re, im = _z_to_xy((p, q, [(p + q - r, r, m) for r in range(p + q + 1)],
                        c.re.numerator * (D // c.re.denominator),

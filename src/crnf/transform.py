@@ -150,6 +150,10 @@ class LinearFactor(Record):
         return LinearFactor(1 / self.delta, -self.rot)
 
 
+# the linear factor of a map given none; records are immutable, so one serves all
+_IDENTITY = LinearFactor()
+
+
 def _check_keys(name: str, h: HoloSeries, low: int):
     mw = h.min_weight()
     if mw is not None and mw < low:
@@ -171,7 +175,7 @@ class FormalMap:
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "f", f.drop_above(N - k + 1))
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "linear", linear if linear is not None else LinearFactor())
+        object.__setattr__(self, "linear", linear if linear is not None else _IDENTITY)
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalMap is immutable; build a new one")

@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, text/JSON parity, written files."""
 
+import argparse
 import io
 import json
 import os
@@ -18,6 +19,9 @@ X4 = "k=4 N=8 basis=xyu\n4 0 0 1/1\n"
 X4_X5 = "k=4 N=8 basis=xyu\n4 0 0 1/1\n5 0 0 3/1\n"
 X4_X7 = "k=4 N=8 basis=xyu\n4 0 0 1/1\n7 0 0 1/1\n"
 ZK4 = "k=4 N=8 basis=zzu\n2 2 0 1/1 0/1\n"
+# a tube model z^3 zbar + z zbar^3 + (3/2) |z|^4 with a tail, in the z, zbar basis
+ZZ_TAIL = ("k=4 N=9 basis=zzu\n1 3 0 1/1 0/1\n3 1 0 1/1 0/1\n2 2 0 3/2 0/1\n"
+           "2 3 0 1/3 1/5\n3 2 0 1/3 -1/5\n0 1 1 2/1 1/1\n1 0 1 2/1 -1/1\n")
 
 
 def srs(tmp_path, name, text):
@@ -297,6 +301,26 @@ class TestClassify:
         assert "class: Zm" in out and "m = 2" in out
 
 
+class TestZzuInput:
+    ARGVS = (["analyze", "z.srs"], ["classify", "z.srs"], ["classify", "h.srs"],
+             ["check", "--form", "ko1-tube", "z.srs"],
+             ["check", "--form", "ko1-half", "h.srs"])
+
+    def test_commands_never_convert_back(self, tmp_path, capsys, monkeypatch):
+        # the parsed series of a zzu file is its hypersurface's complex form
+        monkeypatch.chdir(tmp_path)
+        srs(tmp_path, "z.srs", ZZ_TAIL)
+        srs(tmp_path, "h.srs", ZK4)
+        want = [run(capsys, argv) for argv in self.ARGVS]
+        assert [rc for rc, _, _ in want] == [0, 0, 0, 1, 0]
+
+        def refuse(f):
+            raise AssertionError("converted back to the z, zbar basis")
+        for module in (crnf.series, crnf.hypersurface, crnf.cli, crnf):
+            monkeypatch.setattr(module, "to_complex_basis", refuse)
+        assert [run(capsys, argv) for argv in self.ARGVS] == want
+
+
 class TestBatchAndEnv:
     def test_multiple_files_need_each(self, tmp_path, capsys):
         f = srs(tmp_path, "f.srs", X4)
@@ -415,12 +439,13 @@ class TestBatchAndEnv:
 
 
 def full_parser_run(monkeypatch, argv, full):
-    """(exit code, stdout, stderr) of main(argv); with full, main's parser
-    holds the subparsers of every command, whatever argv names."""
+    """(exit code, stdout, stderr) of main(argv); with full, main parses
+    argv with the parser that holds the subparsers of every command,
+    whatever argv names."""
     with monkeypatch.context() as m:
         if full:
-            build = cli._build_parser
-            m.setattr(cli, "_build_parser", lambda command=None: build())
+            m.setattr(cli, "_parse_args",
+                      lambda argv: cli._build_parser().parse_args(argv))
         out, err = io.StringIO(), io.StringIO()
         m.setattr(sys, "stdout", out)
         m.setattr(sys, "stderr", err)
@@ -438,7 +463,11 @@ SURFACE = [[], ["--help"], ["-h"], ["bogus"], ["bogus", "f.srs"], ["--bad"],
            ["tube-equiv", "f.srs", "f.srs"], ["apply", "f.srs"],
            ["apply", "--map", "f.tnf.map", "f.srs", "--out", "rt"],
            ["tnormal", "--target-A", "1/2", "f.srs"],
-           ["tnormal", "f.srs", "f.srs"], ["tnormal", "--json", "f.srs"]]
+           ["tnormal", "f.srs", "f.srs"], ["tnormal", "--json", "f.srs"],
+           ["check", "--fo", "t", "f.srs"], ["check", "--form=t", "f.srs"],
+           ["tnormal", "--js", "f.srs"], ["classify", "f.srs", "--json"],
+           ["tnormal", "--", "f.srs"], ["tube-equiv", "f.srs", "f.srs", "g.srs"],
+           ["analyze", "f.srs", "--bad", "g.srs", "-x"]]
 SURFACE += [[cmd, *rest] for cmd in cli._COMMANDS
             for rest in ([], ["--help"], ["-h"], ["--bad", "f.srs"],
                          ["f.srs"], ["--json", "--each", "f.srs", "g.srs"])]
@@ -459,12 +488,21 @@ class TestSurface:
         assert got == want
 
     def test_builds_the_named_subparser_alone(self, capsys):
+        # the parser of a named command knows no other command: the argv of
+        # apply (of check, for apply itself) is an error there, though the
+        # full parser reads it as that command
+        argvs = {"apply": ["--map", "f.tnf.map", "f.srs"],
+                 "check": ["--form", "t", "f.srs"]}
         for name in cli._COMMANDS:
-            other = "analyze" if name != "analyze" else "classify"
+            parser = cli._command_parser(name)
+            assert parser.prog == f"crnf {name}" and parser.description is None
+            assert not any(isinstance(a, argparse._SubParsersAction)
+                           for a in parser._actions)
+            other = "apply" if name != "apply" else "check"
             with pytest.raises(SystemExit) as exc:
-                cli._build_parser(name).parse_args([other, "f.srs"])
-            assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
-            assert cli._build_parser().parse_args([other, "f.srs"]).command == other
+                parser.parse_args(argvs[other])
+            assert exc.value.code == 2 and "error:" in capsys.readouterr().err
+            assert cli._build_parser().parse_args([other, *argvs[other]]).command == other
 
 
 class TestScriptEntry:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from crnf.errors import (
     NotTubeModelError,
     StructuralError,
 )
+from crnf.fileformat import parse_series, serialize_series
 from crnf.hypersurface import (
     Hypersurface,
     detect_tube_model,
@@ -287,3 +290,64 @@ class TestPrenormalizeTube:
             H, rec = prenormalize_tube(F)
             assert H.tube_form and H.F.weight_part(k) == RealSeries.monomial(k, N, k, 0, 0)
             check_prenormalization_graph_identity(F, H, rec)
+
+
+def cache_graphs():
+    """Strict graphs x^k + tail and, in normal coordinates, graphs on a
+    tube model with a pure part and on z^2 zbar^2, each with a tail."""
+    rng = seeded(211)
+    out = []
+    for k, N in ((3, 9), (4, 12), (5, 15)):
+        tail = rand_tail(rng, k, N, nterms=6)
+        out.append(Hypersurface.validate(RealSeries.monomial(k, N, k, 0, 0) + tail, k))
+        lead = tube_leading(k, N, rand_frac(rng, nonzero=True), 1) + ComplexSeries(
+            k, N, {(k, 0, 0): GaussRat(1, 2), (0, k, 0): GaussRat(1, -2)})
+        out.append(Hypersurface.normal_coordinates(to_real_basis(lead) + tail, k))
+    out.append(Hypersurface.normal_coordinates(
+        to_real_basis(ComplexSeries(4, 12, {(2, 2, 0): 1})) + rand_tail(rng, 4, 12), 4))
+    return out
+
+
+class TestComplexForms:
+    """complex_form and leading_complex convert at most once per graph."""
+
+    @pytest.mark.parametrize("lead_first", [False, True])
+    def test_equal_fresh_conversions_and_are_kept(self, lead_first):
+        for H in cache_graphs():
+            if lead_first:
+                lead, C = H.leading_complex(), H.complex_form()
+            else:
+                C, lead = H.complex_form(), H.leading_complex()
+            assert C == to_complex_basis(H.F)
+            assert lead == to_complex_basis(H.leading())
+            assert H.complex_form() is C and H.leading_complex() is lead
+
+    def test_seeded_from_a_parsed_zzu_file(self):
+        for H in cache_graphs():
+            S = parse_series(serialize_series(to_complex_basis(H.F)))
+            F = to_real_basis(S)
+            G = Hypersurface(F, _strict=H.tube_form, _complex=S)
+            assert G == H and G.complex_form() is S
+            assert S == to_complex_basis(F)
+            assert G.leading_complex() == to_complex_basis(F.weight_part(H.k))
+
+    def test_copies_equal_the_original(self):
+        for H in cache_graphs():
+            for filled in (False, True):
+                if filled:
+                    H.complex_form()
+                    H.leading_complex()
+                for clone in (copy.copy(H), copy.deepcopy(H),
+                              pickle.loads(pickle.dumps(H))):
+                    assert clone == H
+                    assert (clone.basis, clone.tube_form) == (H.basis, H.tube_form)
+                    assert clone.complex_form() == H.complex_form()
+                    assert clone.leading_complex() == H.leading_complex()
+
+    def test_immutable(self):
+        H = cache_graphs()[1]
+        H.complex_form()
+        for name in Hypersurface.__slots__ + ("extra",):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(H, name, None)
+        assert H.complex_form() == to_complex_basis(H.F)

@@ -7,7 +7,7 @@ The runs are derandomized and bounded: the same examples every time."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -128,12 +128,22 @@ def as_complex(R):
     return {key: (c, Fraction(0)) for key, c in R.coeffs.items()}
 
 
+# k = 3..5 and N up to 15, the sizes of the CLI's files
+wide_type_and_weight = st.sampled_from([3, 4, 5]).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(2 * k, 15)))
+
+
 @PROPERTY
 @given(st.data())
 def test_to_complex_basis_matches_oracle(data):
-    k, N = data.draw(type_and_weight)
-    f = RealSeries(k, N, data.draw(
-        st.dictionaries(st.sampled_from(monomials(k, N)), nonzero, max_size=6)))
+    # to_complex_basis forms the terms z^r zbar^s with r <= s and mirrors
+    # them, to_real_basis expands only those; the oracle expands every term
+    k, N = data.draw(wide_type_and_weight)
+    keys = monomials(k, N)
+    coeffs = data.draw(st.dictionaries(st.sampled_from(keys), nonzero, max_size=8))
+    u_key = data.draw(st.sampled_from([key for key in keys if key[2]]))
+    coeffs[u_key] = data.draw(nonzero)
+    f = RealSeries(k, N, coeffs)
     C = to_complex_basis(f)
     assert to_real_basis(C) == f
     assert oracle_expansion(C) == as_complex(f)
@@ -170,3 +180,19 @@ def test_to_real_basis_matches_oracle(data):
     j, l, m = min(imag, key=lambda t: (t[0] + t[1] + k * t[2], t))
     with pytest.raises(StructuralError, match=rf"monomial x\^{j} y\^{l} u\^{m} "):
         to_real_basis(bad)
+
+
+@PROPERTY
+@given(st.data())
+def test_non_real_series_error_is_that_of_the_full_expansion(data):
+    k, N = data.draw(wide_type_and_weight)
+    coeffs = data.draw(st.dictionaries(st.sampled_from(monomials(k, N)), gauss,
+                                       min_size=1, max_size=8))
+    C = ComplexSeries(k, N, coeffs)
+    imag = {key: c[1] for key, c in oracle_expansion(C).items() if c[1]}
+    assume(imag)
+    j, l, m = low = min(imag, key=lambda t: (t[0] + t[1] + k * t[2], t))
+    with pytest.raises(StructuralError) as exc:
+        to_real_basis(C)
+    assert str(exc.value) == (f"series is not real: monomial x^{j} y^{l} u^{m} "
+                              f"has imaginary coefficient {imag[low]}")
