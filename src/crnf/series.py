@@ -6,7 +6,7 @@ weight N and stores only monomials of weight <= N, sparsely, as a dict
 keyed by exponent tuples.  No floats enter any computation.
 
 One immutable core type holds the sparse data and everything that does not
-depend on the coefficient ring: validation, sums, scaling, weight parts,
+depend on the coefficient ring: validation, sums, weight parts,
 truncation and the canonical order (weight, then key).  The last exponent
 of a key is that of u (or w) and every other has weight 1, so
 
@@ -18,9 +18,9 @@ covers both key shapes:
 
 A subclass fixes the coefficient ring: fractions.Fraction for RealSeries,
 GaussRat (a pair of Fractions) for HoloSeries and ComplexSeries.  Beyond
-that, RealSeries and HoloSeries add a product (mul_upto), RealSeries the
-tests depends_on_u / depends_on_y, and ComplexSeries the reality test
-is_real.  Products, the restriction to a graph and substitutions share one
+that, RealSeries adds the tests depends_on_u / depends_on_y, and
+ComplexSeries the reality test is_real.  Series have no product of their
+own: products, the restriction to a graph and substitutions share one
 kernel, on Python ints in the integer frame of their inputs (Frame), and
 convert back once.  A frame value is a dict keyed by one int per monomial,
 (w << 2S) | (j << S) | l for x^j y^l u^m of weight w (_key), so a product
@@ -113,18 +113,6 @@ class GaussRat:
     def __rtruediv__(self, other):
         return GaussRat.of(other) / self
 
-    def __pow__(self, n: int) -> "GaussRat":
-        if n < 0:
-            return (G_ONE / self) ** (-n)
-        out = G_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conj(self) -> "GaussRat":
         return GaussRat(self.re, -self.im)
 
@@ -154,7 +142,8 @@ class GaussRat:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the Fraction it equals
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
@@ -166,11 +155,6 @@ class GaussRat:
 
 
 G_ZERO = GaussRat(0)
-G_ONE = GaussRat(1)
-
-
-def i_pow(t: int) -> GaussRat:
-    return G_ONE.times_i_power(t)
 
 
 def _check_kn(k, N):
@@ -274,12 +258,6 @@ class _Series:
     def __neg__(self):
         return self._raw(self.k, self.N, {key: -c for key, c in self.coeffs.items()})
 
-    def scale(self, c):
-        c = self._coerce(c)
-        if not c:
-            return self.zero(self.k, self.N)
-        return self._raw(self.k, self.N, {key: c * v for key, v in self.coeffs.items()})
-
     def map_coeffs(self, fn):
         """New series with coefficient fn(key, c) at each key; zeros dropped."""
         out = {}
@@ -337,13 +315,6 @@ class RealSeries(_Series):
     def monomial(cls, k, N, j, l, m, c=1):
         return cls(k, N, {(j, l, m): c})
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return mul_upto(self, other, self.N)
-
-    __rmul__ = __mul__
-
     def depends_on_u(self) -> bool:
         return any(m for (_, _, m) in self.coeffs)
 
@@ -363,13 +334,6 @@ class HoloSeries(_Series):
     def monomial(cls, k, N, j, m, c=1):
         return cls(k, N, {(j, m): c})
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return self.scale(other)
-        return mul_upto(self, other, self.N)
-
-    __rmul__ = __mul__
-
 
 class ComplexSeries(_Series):
     """Real series written in the z, zbar basis: coefficients c_{jlm} on
@@ -385,23 +349,6 @@ class ComplexSeries(_Series):
             if self.coeffs.get((l, j, m), G_ZERO) != c.conj():
                 return False
         return True
-
-
-def mul_upto(a, b, W: int):
-    """The product a * b through weight W, which is capped at the truncation N.
-
-    a and b are series of one class (RealSeries or HoloSeries) with equal k
-    and N.  No monomial of weight > W is formed, so the result is a * b with
-    those monomials dropped; it keeps the truncation tag N.
-    """
-    a._require_same(b)
-    k, W = a.k, min(W, a.N)
-    fr = Frame(k, a, b)
-    if isinstance(a, RealSeries):
-        (out,) = _mul_parts((fr.real(a, 0).items(),), _sorted_parts((fr.real(b, 0),)), W)
-        return fr.real_out(out, 0, a.N)
-    out = _mul_parts(tuple(p.items() for p in fr.holo(a, 0)), _sorted_parts(fr.holo(b, 0)), W)
-    return fr.holo_out(out, 0, a.N)
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +799,7 @@ def to_real_basis(f: ComplexSeries) -> RealSeries:
         o = partner((q, p, m))
         if (o is None or o.re != c.re or o.im.numerator != -c.im.numerator
                 or o.im.denominator != c.im.denominator):
-            return _to_real_basis_full(f)
+            _raise_not_real(f)
         if p <= q:
             half.append((p, q, m, c))
     D = lcm(*(x.denominator for *_, c in half for x in (c.re, c.im)))
@@ -873,21 +820,20 @@ def to_real_basis(f: ComplexSeries) -> RealSeries:
     return RealSeries._raw(f.k, f.N, {key: Fraction(v, D) for key, v in re.items() if v})
 
 
-def _to_real_basis_full(f: ComplexSeries) -> RealSeries:
-    """to_real_basis by expanding every term; it names the lowest monomial
-    with an imaginary coefficient when the symmetry fails."""
+def _raise_not_real(f: ComplexSeries):
+    """Raise the StructuralError of to_real_basis for a series that fails the
+    reality symmetry.  Its imaginary part over x, y, u is the expansion of
+    the anti-Hermitian part (c_{jlm} - conj(c_{ljm}))/2, which is then not
+    zero; expanding every term finds its lowest monomial."""
     D = lcm(*(x.denominator for c in f.coeffs.values() for x in (c.re, c.im)))
-    re, im = _z_to_xy((p, q, [(p + q - r, r, m) for r in range(p + q + 1)],
-                       c.re.numerator * (D // c.re.denominator),
-                       c.im.numerator * (D // c.im.denominator))
-                      for (p, q, m), c in f.coeffs.items())
-    bad = [key for key, v in im.items() if v]
-    if bad:
-        key = min(bad, key=lambda key: (f.weight(key), key))
-        raise StructuralError(
-            f"series is not real: monomial x^{key[0]} y^{key[1]} u^{key[2]} "
-            f"has imaginary coefficient {Fraction(im[key], D)}")
-    return RealSeries._raw(f.k, f.N, {key: Fraction(v, D) for key, v in re.items() if v})
+    _, im = _z_to_xy((p, q, [(p + q - r, r, m) for r in range(p + q + 1)],
+                      c.re.numerator * (D // c.re.denominator),
+                      c.im.numerator * (D // c.im.denominator))
+                     for (p, q, m), c in f.coeffs.items())
+    key = min((key for key, v in im.items() if v), key=lambda key: (f.weight(key), key))
+    raise StructuralError(
+        f"series is not real: monomial x^{key[0]} y^{key[1]} u^{key[2]} "
+        f"has imaginary coefficient {Fraction(im[key], D)}")
 
 
 def _restrict_frame(h, k: int, pp: _PowerProducts, W: int):

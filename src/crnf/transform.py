@@ -136,12 +136,6 @@ class LinearFactor(Record):
     def is_identity(self) -> bool:
         return self.delta == 1 and self.rot == 0
 
-    def z_factor(self) -> GaussRat:
-        return GaussRat(self.delta).times_i_power(self.rot)
-
-    def w_factor(self, k: int) -> Fraction:
-        return self.delta ** k
-
     def compose(self, other: "LinearFactor") -> "LinearFactor":
         """self applied first, then other (the two commute)."""
         return LinearFactor(self.delta * other.delta, self.rot + other.rot)

@@ -23,7 +23,8 @@ from crnf.normalize import (
     t_normalize,
     weight_system,
 )
-from crnf.series import ComplexSeries, GaussRat, HoloSeries, RealSeries, to_real_basis
+from crnf.series import (ComplexSeries, GaussRat, HoloSeries, RealSeries, to_complex_basis,
+                         to_real_basis)
 from crnf.transform import FormalMap, LinearFactor, apply_linear_series, pushforward
 
 
@@ -71,7 +72,49 @@ def rand_tnormal(rng, k, N, nterms=4, rigid=False, ytfree=False):
 # ------------------------------------------------------------- checkers
 
 
+# the k = 4 models of the complex-basis forms, as z, zbar coefficients: the
+# tube x^4, the half type z^2 zbar^2 (e = 2) and z^3 zbar + z zbar^3 (e = 1)
+KO1_MODELS = {
+    "ko1-tube": to_complex_basis(RealSeries.monomial(4, 12, 4, 0, 0)).coeffs,
+    "ko1-half": {(2, 2, 0): 1},
+    "ko1-nontube": {(3, 1, 0): 1, (1, 3, 0): 1},
+}
+ONE_2I = GaussRat(1, 2)
+
+# (form, planted monomial z^j zbar^l u^m, its coefficient, the violations
+# (family, key, value) check lists); the mirror conj(c) z^l zbar^j u^m is
+# planted too, so the graph stays real
+KO1_PLANTS = [
+    ("ko1-half", (5, 0, 0), ONE_2I, [("Z[j,0]", (5, 0, 0), ONE_2I)]),
+    # a pure u^2 term is a Z[j,0] term for the half type only
+    ("ko1-half", (0, 0, 2), Q(3), [("Z[j,0]", (0, 0, 2), Q(3))]),
+    ("ko1-half", (2, 3, 0), ONE_2I, [("Z[e,e+j]", (2, 3, 0), ONE_2I)]),
+    ("ko1-half", (4, 4, 0), Q(3), [("Z[2e,2e]", (4, 4, 0), Q(3))]),
+    ("ko1-half", (6, 6, 0), Q(3), [("Z[3e,3e]", (6, 6, 0), Q(3))]),
+    ("ko1-half", (4, 3, 0), ONE_2I, [("Z[2e,2e-1]", (4, 3, 0), ONE_2I)]),
+    ("ko1-tube", (5, 0, 0), ONE_2I, [("Z[j,0]", (5, 0, 0), ONE_2I)]),
+    ("ko1-tube", (0, 0, 2), Q(3), []),
+    ("ko1-tube", (3, 2, 1), ONE_2I, [("Z[j>=k-1,l]", (3, 2, 1), ONE_2I)]),
+    ("ko1-tube", (2, 1, 1), ONE_2I, [("Re Z[k-2,1]", (2, 1, 1), Q(1))]),
+    ("ko1-nontube", (5, 0, 0), ONE_2I, [("Z[j,0]", (5, 0, 0), ONE_2I)]),
+    ("ko1-nontube", (0, 0, 2), Q(3), []),
+    ("ko1-nontube", (3, 1, 1), ONE_2I, [("Z[k-e+j,e]", (3, 1, 1), ONE_2I)]),
+    ("ko1-nontube", (6, 2, 0), ONE_2I, [("Z[2k-2e,2e]", (6, 2, 0), ONE_2I)]),
+    # Z[2,1] pairs against the model's a_3 = 1: 3 Z[2,1] at u^1
+    ("ko1-nontube", (2, 1, 1), ONE_2I, [("pairing", (1,), 3 * ONE_2I)]),
+]
+
+
 class TestCheck:
+    @pytest.mark.parametrize("form, key, c, want", KO1_PLANTS,
+                             ids=[f"{f}-{j}{l}{m}" for f, (j, l, m), *_ in KO1_PLANTS])
+    def test_ko1_family_of_one_planted_monomial(self, form, key, c, want):
+        j, l, m = key
+        C = {**KO1_MODELS[form], (j, l, m): c, (l, j, m): GaussRat.of(c).conj()}
+        H = Hypersurface.normal_coordinates(to_real_basis(ComplexSeries(4, 12, C)), 4)
+        bad = check(H, NormalFormKind(form))
+        assert [(v.family, v.key, v.value) for v in bad] == want
+
     def test_unconstrained_monomial_passes(self):
         H = H_of({(5, 0, 0): 1}, 4, 8)
         assert check(H, NormalFormKind.t_normal()) == []

@@ -4,7 +4,10 @@ denominators reach 10^6 (the seeded tests draw denominators up to 4).
 
 The runs are derandomized and bounded: the same examples every time."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -196,3 +199,21 @@ def test_non_real_series_error_is_that_of_the_full_expansion(data):
         to_real_basis(C)
     assert str(exc.value) == (f"series is not real: monomial x^{j} y^{l} u^{m} "
                               f"has imaginary coefficient {imag[low]}")
+
+
+def test_failing_property_keeps_its_report(tmp_path):
+    # under the suite's own warning filters, hypothesis still prints the
+    # falsifying example of a failing property, not an INTERNALERROR
+    (tmp_path / "pyproject.toml").write_text(
+        (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_always_fails(n):\n"
+        "    assert n != n\n")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "Falsifying example" in out and "INTERNALERROR" not in out, out
