@@ -11,7 +11,6 @@ exact radical records and every consistency check stays rational.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import (
     InternalError,
@@ -80,21 +79,6 @@ class RadicalReal(Record):
                 return RadicalReal(root, root_index // dd, sign)
         raise AssertionError("unreachable: dd = 1 always divides")
 
-    def pow_int(self, n):
-        """Integer power n >= 1, collapsing to a Fraction when exact."""
-        g = gcd(n, self.root_index)
-        s = self.sign if n % 2 else 1
-        return RadicalReal.make(self.base ** (n // g), self.root_index // g, s)
-
-    def times_rat(self, q):
-        """Product with a rational, folded back into one radical."""
-        q = Fraction(q)
-        if q == 0:
-            return Fraction(0)
-        s = self.sign if q > 0 else -self.sign
-        return RadicalReal.make(abs(q) ** self.root_index * self.base,
-                                self.root_index, s)
-
     def __repr__(self):
         s = "" if self.sign > 0 else "-"
         return f"{s}({self.base})^(1/{self.root_index})"
@@ -159,30 +143,18 @@ def _match_power_ratios(pairs):
     rational identities sign(t) = sign(delta)^e and |t|^r = q^e where
     |delta| = q^(1/r).  Returns (delta, sign_ambiguous) or None.
     """
-    pairs = sorted(pairs)
-    e0, t0 = pairs[0]
-    mag = abs(t0)
-    for dd in range(e0, 0, -1):
-        if e0 % dd:
-            continue
-        root = _perfect_root(mag, dd)
-        if root is not None:
-            q, r = root, e0 // dd
-            break
     odd = [t for e, t in pairs if e % 2]
-    if odd:
-        sign = 1 if odd[0] > 0 else -1
-        ambiguous = False
-    else:
-        sign = 1
-        ambiguous = True
+    sign = -1 if odd and odd[0] < 0 else 1
+    e0, t0 = min(pairs)
+    delta = RadicalReal.make(abs(t0), e0, sign)
+    q, r = (abs(delta), 1) if isinstance(delta, Fraction) \
+        else (delta.base, delta.root_index)
     for e, t in pairs:
         if (t > 0) != (sign ** e > 0):
             return None
         if abs(t) ** r != q ** e:
             return None
-    delta = sign * q if r == 1 else RadicalReal(q, r, sign)
-    return delta, ambiguous
+    return delta, not odd
 
 
 def _witness_holds(uF, uG, a, b, c, N):
@@ -248,10 +220,11 @@ def tube_equivalent(F: RealSeries, G: RealSeries):
         if not _witness_holds(uF, uG, a, b, c, N):
             raise InternalError("matched dilation fails the substitution identity")
     else:
-        a = delta
-        dk = delta.pow_int(k)
-        c = dk * (c2 / c1) if isinstance(dk, Fraction) \
-            else dk.times_rat(c2 / c1)
+        # delta = sign q^(1/r), so c = delta^k c2/c1 is the r-th root of
+        # |c2/c1|^r q^k with sign sign^k sign(c2/c1)
+        a, s = delta, c2 / c1
+        c = RadicalReal.make(abs(s) ** delta.root_index * delta.base ** k,
+                             delta.root_index, delta.sign ** k * (1 if s > 0 else -1))
         b = Fraction(0) if h1 == 0 and h2 == 0 else None
     return TubeWitness(a, b, c, b_parts, ambiguous,
                        (c1, h1, delta, h2, c2), N)

@@ -47,11 +47,9 @@ class Hypersurface:
     equality, pickling and copying ignore them.
     """
 
-    __slots__ = ("k", "N", "F", "basis", "tube_form", "_complex", "_lead_complex")
+    __slots__ = ("k", "N", "F", "tube_form", "_complex", "_lead_complex")
 
-    def __init__(self, F: RealSeries, basis="xyu", _strict=True, _complex=None):
-        if basis not in ("xyu", "zzu"):
-            raise StructuralError(f"unknown basis tag {basis!r}")
+    def __init__(self, F: RealSeries, _strict=True, _complex=None):
         k, N = F.k, F.N
         mw = F.min_weight()
         if mw is None:
@@ -84,7 +82,6 @@ class Hypersurface:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "F", F)
-        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "tube_form", tube_form)
         object.__setattr__(self, "_complex", _complex)
         object.__setattr__(self, "_lead_complex", clead)
@@ -94,22 +91,22 @@ class Hypersurface:
 
     def __reduce__(self):
         # a tube_form graph passes the strict check, any other the general one
-        return Hypersurface, (self.F, self.basis, self.tube_form)
+        return Hypersurface, (self.F, self.tube_form)
 
     @classmethod
-    def validate(cls, F: RealSeries, k: int, basis="xyu") -> "Hypersurface":
+    def validate(cls, F: RealSeries, k: int) -> "Hypersurface":
         """Strict constructor: weight-k part must be exactly x^k."""
         if F.k != k:
             raise StructuralError(f"series type tag {F.k} != requested k = {k}")
-        return cls(F, basis=basis, _strict=True)
+        return cls(F, _strict=True)
 
     @classmethod
-    def normal_coordinates(cls, F: RealSeries, k: int, basis="xyu",
+    def normal_coordinates(cls, F: RealSeries, k: int,
                            _complex=None) -> "Hypersurface":
         """General constructor: any weight-k model with a mixed term."""
         if F.k != k:
             raise StructuralError(f"series type tag {F.k} != requested k = {k}")
-        return cls(F, basis=basis, _strict=False, _complex=_complex)
+        return cls(F, _strict=False, _complex=_complex)
 
     def leading(self) -> RealSeries:
         return self.F.weight_part(self.k)

@@ -5,7 +5,10 @@ Three solvers share one engine: at each weight mu the unknown map
 coefficients act linearly on the weight-mu part of the image, so the
 normal-form conditions become a square linear system over the rationals.
 Each solved form (t, rigid, nt) is written once, in _form, which both the
-solver and check read.  The system depends only on (k, mode, mu); one
+solver and check read.  The three solvers enter through one front door,
+_normalize: it refuses input outside the form's class with the error _form
+names, returns a bare model x^k as it is, and checks what it solves against
+every condition of the form.  The system depends only on (k, mode, mu); one
 cached record holds its rows, its slots, its int matrix, its inverse as
 ints over one denominator and the frame keys of the rows and slots, so
 normalizing many hypersurfaces of the same type costs one inversion per
@@ -24,7 +27,6 @@ from .errors import (
     NotTransversallyFlatError,
     SingularSystemError,
     StructuralError,
-    TruncationError,
     UnsupportedTypeError,
 )
 from .hypersurface import Hypersurface, essential_type
@@ -108,24 +110,29 @@ class NormalizationResult(Record):
 
 def _form(k, mode):
     """The normal form that check and the solver share for mode "t",
-    "rigid" or "nt": (outside, families).
+    "rigid" or "nt": (outside, families, frozen).
 
-    outside is None or (index, label): a rigid tail has no u and an nt tail
-    no y, so a tail monomial (j, l, m) whose exponent at that index is
-    positive violates the class under label.  Each family (j, l, label)
-    holds the in-class monomials x^j y^l u^m (every l when l is None) whose
-    coefficients the form sends to zero; t-ab sends those of x^(2k-1) and
-    x^(2k-1) y to its targets instead.  A monomial belongs to the first
-    family that holds it.
+    outside is None or (index, label, error): a rigid tail has no u and an
+    nt tail no y, so a tail monomial (j, l, m) positive at that index
+    violates the class under label, and the solver refuses it with error.
+    Each family (j, l, label) holds the in-class monomials x^j y^l u^m
+    (every l when l is None) whose coefficients the form sends to zero; t-ab
+    sends those of x^(2k-1) and x^(2k-1) y to its targets instead.  A
+    monomial belongs to the first family that holds it.  frozen is None or
+    the index in (j, m) of the exponent no z^j w^m of the map carries: a
+    rigid map has no w, an nt map no z.
     """
     forms = {
         "t": (None, ((0, None, "X[0,l]"), (1, None, "X[1,l]"),
                      (k - 1, None, "X[k-1,l]"), (k, None, "X[k,l]"),
-                     (2 * k - 1, 0, "X[2k-1,0]"), (2 * k - 1, 1, "X[2k-1,1]"))),
-        "rigid": ((2, "u-term"), ((0, None, "A[0,l]"), (1, None, "A[1,l]"),
-                                  (k - 1, None, "A[k-1,l]"), (k, None, "A[k,l]"))),
-        "nt": ((1, "y-term"), ((0, None, "X[0]"), (k - 1, None, "X[k-1]"),
-                               (k, None, "X[k]"), (2 * k - 1, None, "X[2k-1]"))),
+                     (2 * k - 1, 0, "X[2k-1,0]"), (2 * k - 1, 1, "X[2k-1,1]")),
+              None),
+        "rigid": ((2, "u-term", NotRigidError),
+                  ((0, None, "A[0,l]"), (1, None, "A[1,l]"),
+                   (k - 1, None, "A[k-1,l]"), (k, None, "A[k,l]")), 1),
+        "nt": ((1, "y-term", NotTransversallyFlatError),
+               ((0, None, "X[0]"), (k - 1, None, "X[k-1]"),
+                (k, None, "X[k]"), (2 * k - 1, None, "X[2k-1]")), 0),
     }
     if mode not in forms:
         raise StructuralError(f"unknown solver mode {mode!r}")
@@ -142,7 +149,7 @@ def _family(families, j, l):
 # ---------------------------------------------------------------- checkers
 
 def _check_form(H, kind):
-    outside, families = _form(H.k, "t" if kind.tag == "t-ab" else kind.tag)
+    outside, families, _ = _form(H.k, "t" if kind.tag == "t-ab" else kind.tag)
     n = 2 * H.k - 1
     targets = {(n, 0, 0): kind.A, (n, 1, 0): kind.B} if kind.tag == "t-ab" else {}
     out = []
@@ -198,7 +205,7 @@ def _check_ko1_tube(H, kind):
     k = H.k
     out = []
     for (j, l, m), c in (H.complex_form() - H.leading_complex()).sorted_items():
-        if l == 0 and j >= 1:
+        if l == 0:
             out.append(Violation("Z[j,0]", (j, l, m), c))
         elif j >= k - 1:
             out.append(Violation("Z[j>=k-1,l]", (j, l, m), c))
@@ -216,7 +223,7 @@ def _check_ko1_nontube(H, kind):
     out = []
     model = {(j, l): c for (j, l, m), c in lead.sorted_items() if m == 0}
     for (j, l, m), c in ctail.sorted_items():
-        if l == 0 and j >= 1:
+        if l == 0:
             out.append(Violation("Z[j,0]", (j, l, m), c))
         elif l == e and j >= k - e:
             out.append(Violation("Z[k-e+j,e]", (j, l, m), c))
@@ -269,7 +276,7 @@ _I_IM = (0, 1, 0, -1)
 def _condition_monomials(k, mode, mu):
     """The weight-mu monomials of the form's families, family by family,
     each in rising powers of u."""
-    outside, families = _form(k, mode)
+    outside, families, _ = _form(k, mode)
     rows = []
     for j, l, _ in families:
         for m in range((mu - j) // k + 1):
@@ -281,12 +288,13 @@ def _condition_monomials(k, mode, mu):
 
 def _unknown_slots(k, mode, mu):
     """The weight-mu coefficients of f (weight mu - k + 1) and g, each in
-    rising powers of w: a rigid map has no w, an nt map no z."""
+    rising powers of w, less those the form's frozen exponent excludes."""
+    frozen = _form(k, mode)[2]
     slots = []
     for which, wt in (("f", mu - k + 1), ("g", mu)):
         for m in range(wt // k + 1):
             j = wt - k * m
-            if not (mode == "rigid" and m or mode == "nt" and j):
+            if frozen is None or not (j, m)[frozen]:
                 slots.append((which, j, m))
     return [s + (part,) for s in slots for part in ("re", "im")]
 
@@ -387,13 +395,26 @@ def _solve(H, mode, targets):
                 (fmu if which == "f" else gmu)[part == "im"][key] = q
         Fx = _graph_transform(Fx, fmu, gmu, k, N)
         f, g = _compose_frame(f, g, fmu, gmu, k, N)
-    H_normal = Hypersurface(fr.real_out(Fx, k, N), basis=H.basis, _strict=H.tube_form)
+    H_normal = Hypersurface(fr.real_out(Fx, k, N), _strict=H.tube_form)
     T = FormalMap(fr.holo_out(f, 1, N), fr.holo_out(g, k, N))
     return NormalizationResult(H_normal, T, tuple(report))
 
 
-def _verified(res: NormalizationResult, kind: NormalFormKind) -> NormalizationResult:
-    """res, once its normal form is checked to meet every condition of kind."""
+def _normalize(H: Hypersurface, mode, targets) -> NormalizationResult:
+    """The one front door of the solvers: H is refused unless it is in
+    strict tube form and in the class of mode, a bare model x^k is returned
+    as it is, and any other input is solved and its normal form checked."""
+    if not H.tube_form:
+        raise StructuralError("normalization needs leading term x^k")
+    outside = _form(H.k, mode)[0]
+    if outside and any(key[outside[0]] for key in H.F.coeffs):
+        raise outside[2](f"input depends on {'xyu'[outside[0]]}")
+    kind = (NormalFormKind(mode) if targets is None
+            else NormalFormKind.t_normal_ab(*targets))
+    # strict tube form holds x^k, so the tail is zero iff x^k is all of F
+    if len(H.F.coeffs) == 1 and not (kind.A or kind.B):
+        return NormalizationResult(H, FormalMap.identity(H.k, H.N), ())
+    res = _solve(H, mode, targets)
     if check(res.H_normal, kind):
         raise InternalError("solver left a violated condition")
     return res
@@ -404,42 +425,17 @@ def t_normalize(H: Hypersurface, targets=None) -> NormalizationResult:
     where all x^0, x^1, x^(k-1), x^k coefficient families vanish along with
     the x^(2k-1) and x^(2k-1)y ones; optional targets (A, B) prescribe the
     latter two constants instead of zero."""
-    if not H.tube_form:
-        raise StructuralError("normalization needs leading term x^k")
-    if H.N < 2 * H.k:
-        raise TruncationError(f"N = {H.N} below 2k = {2 * H.k}")
-    if targets is not None:
-        targets = (rat(targets[0]), rat(targets[1]))
-        kind = NormalFormKind.t_normal_ab(*targets)
-    else:
-        kind = NormalFormKind.t_normal()
-    if H.tail().is_zero() and (targets is None or targets == (0, 0)):
-        return NormalizationResult(H, FormalMap.identity(H.k, H.N), ())
-    return _verified(_solve(H, "t", targets), kind)
+    return _normalize(H, "t", targets)
 
 
 def rigid_normalize(H: Hypersurface) -> NormalizationResult:
     """Normalization within the rigid class: the map is z-only (f and g
     series in z alone) and removes the x^0, x^1, x^(k-1), x^k families."""
-    if not H.tube_form:
-        raise StructuralError("normalization needs leading term x^k")
-    if H.F.depends_on_u():
-        raise NotRigidError("input depends on u")
-    res = _solve(H, "rigid", None)
-    if res.H_normal.F.depends_on_u():
-        raise InternalError("rigid solver left a u-dependent graph")
-    return _verified(res, NormalFormKind.rigid_t())
+    return _normalize(H, "rigid", None)
 
 
 def nt_normalize(H: Hypersurface) -> NormalizationResult:
     """Normalization within the y-independent class: the map is w-only
     (z* = z + psi(w), w* = w + phi(w)) and removes the x^0, x^(k-1), x^k,
     x^(2k-1) coefficient families."""
-    if not H.tube_form:
-        raise StructuralError("normalization needs leading term x^k")
-    if H.F.depends_on_y():
-        raise NotTransversallyFlatError("input depends on y")
-    res = _solve(H, "nt", None)
-    if res.H_normal.F.depends_on_y():
-        raise InternalError("nt solver left a y-dependent graph")
-    return _verified(res, NormalFormKind.nontransversal())
+    return _normalize(H, "nt", None)

@@ -345,8 +345,13 @@ class ComplexSeries(_Series):
     _zero = G_ZERO
 
     def is_real(self) -> bool:
+        """True when c_{ljm} = conj(c_{jlm}) on every coefficient, compared
+        part by part without building the conjugate."""
+        partner = self.coeffs.get
         for (j, l, m), c in self.coeffs.items():
-            if self.coeffs.get((l, j, m), G_ZERO) != c.conj():
+            o = partner((l, j, m))
+            if (o is None or o.re != c.re or o.im.numerator != -c.im.numerator
+                    or o.im.denominator != c.im.denominator):
                 return False
         return True
 
@@ -793,19 +798,13 @@ def to_real_basis(f: ComplexSeries) -> RealSeries:
     the reality symmetry c_{jlm} = conj(c_{ljm}); otherwise the substitution
     z = x + iy leaves imaginary parts and a StructuralError names the lowest
     such monomial (by weight, then key)."""
-    partner = f.coeffs.get
-    half = []
-    for (p, q, m), c in f.coeffs.items():
-        o = partner((q, p, m))
-        if (o is None or o.re != c.re or o.im.numerator != -c.im.numerator
-                or o.im.denominator != c.im.denominator):
-            _raise_not_real(f)
-        if p <= q:
-            half.append((p, q, m, c))
-    D = lcm(*(x.denominator for *_, c in half for x in (c.re, c.im)))
+    if not f.is_real():
+        _raise_not_real(f)
+    half = [(key, c) for key, c in f.coeffs.items() if key[0] <= key[1]]
+    D = lcm(*(x.denominator for _, c in half for x in (c.re, c.im)))
     re = {}
     get = re.get
-    for p, q, m, c in half:
+    for (p, q, m), c in half:
         # Re((a + ib) i^r) is a, -b, -a, b as r % 4 = 0, 1, 2, 3
         a = c.re.numerator * (D // c.re.denominator)
         b = c.im.numerator * (D // c.im.denominator)

@@ -19,7 +19,7 @@ from .hypersurface import Hypersurface, essential_type
 from .normalize import NormalFormKind, check
 from .record import Record
 from .series import rat
-from .transform import LinearFactor, apply_linear_series
+from .transform import LinearFactor
 
 
 class RootRotation(Record):
@@ -40,15 +40,13 @@ class RootRotation(Record):
 
 def is_linear_automorphism(H: Hypersurface, L) -> bool:
     """Exact test that the linear map L fixes the graph v = F through
-    weight N.
-
-    A LinearFactor (real dilation and quarter turn) is tested through
-    the real-basis coefficient transform; a RootRotation through
-    exponent arithmetic on the complex basis.  Both paths are exact.
+    weight N, by exponent arithmetic on the complex basis.  A LinearFactor
+    (real dilation and quarter turn) is the RootRotation of order 4 that
+    turns by its rot, so both take the one test.
     """
     if isinstance(L, LinearFactor):
-        return apply_linear_series(H.F, L) == H.F
-    if not isinstance(L, RootRotation):
+        L = RootRotation(4, L.rot, L.delta)
+    elif not isinstance(L, RootRotation):
         raise StructuralError(f"not a linear map record: {L!r}")
     k = H.k
     delta, order, power = L.delta, L.order, L.power
@@ -73,10 +71,7 @@ def rotation_order(H: Hypersurface):
     the graph: None when every rotation works (all monomials have
     j = l), else gcd of the exponent gaps |j - l|.  The claimed
     generator is re-verified before being returned."""
-    C = H.complex_form()
-    if not C.coeffs:
-        raise StructuralError("zero series has no rotation order")
-    diffs = {abs(j - l) for (j, l, _) in C.coeffs if j != l}
+    diffs = {abs(j - l) for (j, l, _) in H.complex_form().coeffs if j != l}
     if not diffs:
         return None
     g = reduce(gcd, diffs)
@@ -136,11 +131,9 @@ def _coordinate_conditional(H):
     e = essential_type(lead)
     if 2 * e < H.k:
         return bool(check(H, NormalFormKind.ko1_nontube()))
-    if H.k % 2 == 0:
-        if lead.coeffs.get((e, e, 0)) != 1:
-            return True
-        return bool(check(H, NormalFormKind.ko1_half_type()))
-    return True
+    # a real model has a_(k-e) = conj(a_e), so 2e <= k: here 2e = k
+    return lead.coeffs.get((e, e, 0)) != 1 \
+        or bool(check(H, NormalFormKind.ko1_half_type()))
 
 
 def classify_aut(H: Hypersurface) -> AutClass:

@@ -329,7 +329,7 @@ def pushforward(H: Hypersurface, T: FormalMap) -> Hypersurface:
     """Image hypersurface under T; its tube_form is computed, and strict
     tube form is preserved exactly when the linear factor fixes x^k (rot = 0,
     or rot = 2 with even k)."""
-    return Hypersurface(pushforward_series(H.F, T), basis=H.basis, _strict=False)
+    return Hypersurface(pushforward_series(H.F, T), _strict=False)
 
 
 def model_automorphism(k: int, N: int, delta=1, rot: int = 0, mu=0) -> FormalMap:

@@ -120,6 +120,12 @@ class TestTnormal:
         assert (tmp_path / "custom.srs").exists()
         assert (tmp_path / "custom.map").exists()
 
+    def test_unwritable_out_maps_to_2(self, tmp_path, capsys):
+        path = srs(tmp_path, "f.srs", X4_X7)
+        rc, _, err = run(capsys, ["tnormal", "--out",
+                                  str(tmp_path / "missing" / "custom"), path])
+        assert rc == 2 and "cannot write" in err
+
     def test_stdin_needs_out(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(X4_X7))
         rc, _, err = run(capsys, ["tnormal", "-"])
@@ -191,6 +197,13 @@ class TestCheck:
         rc, out, _ = run(capsys, ["check", "--form", "ko1-half",
                                   srs(tmp_path, "b.srs", ZK4)])
         assert rc == 0 and "OK" in out
+
+    def test_ko1_tube_flags_a_pure_u_term(self, tmp_path, capsys):
+        # Kolar's normal coordinates need F(z, 0, u) = 0, so 3u^2 violates them
+        text = "k=4 N=8 basis=xyu\n4 0 0 1/1\n0 0 2 3/1\n"
+        rc, out, _ = run(capsys, ["check", "--form", "ko1-tube",
+                                  srs(tmp_path, "f.srs", text)])
+        assert rc == 1 and "Z[j,0]" in out
 
     def test_form_needing_tube_shape_rejects_bowl(self, tmp_path, capsys):
         rc, _, err = run(capsys, ["check", "--form", "t",

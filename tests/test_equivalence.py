@@ -15,10 +15,11 @@ from crnf.errors import (
     InternalError,
     NotRigidError,
     StructuralError,
+    TruncationError,
     UnsupportedTypeError,
 )
 from crnf.hypersurface import Hypersurface
-from crnf.series import RealSeries
+from crnf.series import ComplexSeries, RealSeries, to_real_basis
 from crnf.transform import LinearFactor, apply_linear_series
 
 
@@ -47,22 +48,18 @@ class TestRadicalReal:
         assert RadicalReal.make(Q(4), 4, 1) == RadicalReal(Q(2), 2, 1)
         assert RadicalReal.make(Q(2), 2, 1) == RadicalReal(Q(2), 2, 1)
 
-    def test_pow_int(self):
-        r = RadicalReal(Q(2), 2, 1)
-        assert r.pow_int(2) == Q(2)
-        assert r.pow_int(4) == Q(4)
-        assert r.pow_int(3) == RadicalReal(Q(8), 2, 1)
-        neg = RadicalReal(Q(2), 2, -1)
-        assert neg.pow_int(2) == Q(2)
-        assert neg.pow_int(3) == RadicalReal(Q(8), 2, -1)
-
-    def test_times_rat_folds(self):
-        r = RadicalReal(Q(2), 2, 1)
-        assert r.times_rat(Q(3)) == RadicalReal(Q(18), 2, 1)
-        assert r.times_rat(Q(-1, 2)) == RadicalReal(Q(1, 2), 2, -1)
-        assert r.times_rat(0) == Q(0)
+    def test_make_takes_powers_and_products(self):
+        # (sign b^(1/r))^n is make(b^n, r, sign^n) and q sign b^(1/r) is
+        # make(|q|^r b, r, sign(q) sign): both fold to the least root index
+        assert RadicalReal.make(Q(2) ** 2, 2, 1) == Q(2)
+        assert RadicalReal.make(Q(2) ** 4, 2, 1) == Q(4)
+        assert RadicalReal.make(Q(2) ** 3, 2, 1) == RadicalReal(Q(8), 2, 1)
+        assert RadicalReal.make(Q(2) ** 2, 2, (-1) ** 2) == Q(2)
+        assert RadicalReal.make(Q(2) ** 3, 2, (-1) ** 3) == RadicalReal(Q(8), 2, -1)
+        assert RadicalReal.make(Q(3) ** 2 * 2, 2, 1) == RadicalReal(Q(18), 2, 1)
+        assert RadicalReal.make(Q(1, 2) ** 2 * 2, 2, -1) == RadicalReal(Q(1, 2), 2, -1)
         # sqrt(1/2) * 2 = sqrt(2)
-        assert RadicalReal(Q(1, 2), 2, 1).times_rat(2) == RadicalReal(Q(2), 2, 1)
+        assert RadicalReal.make(Q(2) ** 2 * Q(1, 2), 2, 1) == RadicalReal(Q(2), 2, 1)
 
     def test_invalid_records(self):
         with pytest.raises(StructuralError):
@@ -199,6 +196,22 @@ class TestTubeEquivalent:
         assert tube_equivalent(F, G) is None
         assert tube_equivalent(G, F) is None
 
+    def test_odd_exponent_sign_mismatch(self):
+        # delta^1 = 1 pins delta > 0, so delta^3 = -1 has no real solution
+        F = tube(3, 6, {3: 1, 4: 1, 6: 1})
+        G = tube(3, 6, {3: 1, 4: 1, 6: -1})
+        assert tube_equivalent(F, G) is None
+
+    def test_odd_type_negative_radical_dilation(self):
+        # k = 5: delta^3 = -2 gives delta = -2^(1/3), and
+        # c = 3 delta^5 = -3 * 2^(5/3) = -(864)^(1/3)
+        F = tube(5, 10, {5: 1, 8: 1})
+        G = tube(5, 10, {5: 3, 8: Q(-3, 2)})
+        w = tube_equivalent(F, G)
+        assert w.a == RadicalReal(Q(2), 3, -1)
+        assert w.c == RadicalReal(Q(864), 3, -1)
+        assert w.b == 0 and not w.sign_ambiguous
+
     def test_mismatched_support(self):
         F = tube(4, 12, {4: 1, 6: 1})
         G = tube(4, 12, {4: 1, 8: 1})
@@ -225,6 +238,16 @@ class TestTubeEquivalent:
     def test_zero_series_rejected(self):
         with pytest.raises(StructuralError):
             tube_equivalent(RealSeries(3, 9), tube(3, 9, {3: 1}))
+
+    def test_series_vanishing_below_N_rejected(self):
+        with pytest.raises(StructuralError, match="vanish below"):
+            tube_equivalent(tube(4, 12, {9: 1}), tube(4, 8, {4: 1}))
+
+    def test_N_below_2k_rejected(self):
+        # tagged k = 3, but of type 4: N = 6 is below 2 * 4
+        F = tube(3, 6, {4: 1})
+        with pytest.raises(TruncationError, match="below 2k"):
+            tube_equivalent(F, F)
 
     def test_truncation_uses_smaller_N(self):
         F = tube(4, 12, {4: 1, 10: 1})
@@ -337,6 +360,12 @@ class TestRigidReduce:
         H1 = self.H(3, 9, {(4, 1, 0): 1})
         H2 = self.H(3, 9, {(4, 1, 0): Q(1, 2)})
         assert rigid_equivalence_reduce(H1, H2) == RadicalReal(Q(2), 2, 1)
+
+    def test_loose_leading_rejected(self):
+        H = Hypersurface.normal_coordinates(
+            to_real_basis(ComplexSeries(4, 8, {(2, 2, 0): 1})), 4)
+        with pytest.raises(StructuralError, match="leading term must be x"):
+            rigid_equivalence_reduce(H, H)
 
     def test_tubular_rejected(self):
         H = self.H(3, 9, {(4, 0, 0): 1})

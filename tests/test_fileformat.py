@@ -108,6 +108,10 @@ class TestSeriesFiles:
         assert S.k == 4 and S.N == 8
         assert S.coeffs == {(4, 0, 0): Q(1)}
 
+    def test_serialize_rejects_non_series(self):
+        with pytest.raises(StructuralError, match="not a series"):
+            serialize_series(FormalMap.identity(4, 8))
+
     def test_canonical_round_trip_is_byte_identical(self):
         # weight order puts the u-monomial (weight 8) after x^4 and x^5
         text = "k=4 N=8 basis=xyu\n4 0 0 1/1\n5 0 0 3/2\n2 2 1 -1/3\n"

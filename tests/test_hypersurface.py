@@ -74,6 +74,10 @@ class TestValidate:
         with pytest.raises(StructuralError):
             Hypersurface.validate(F, 4)
 
+    def test_rejects_zero_series(self):
+        with pytest.raises(StructuralError, match="F is zero"):
+            Hypersurface.validate(RealSeries(3, 9), 3)
+
 
 class TestNormalCoordinates:
     def test_accepts_circular_model(self):
@@ -94,6 +98,15 @@ class TestNormalCoordinates:
         F = RealSeries(3, 9, {(3, 0, 0): 1, (0, 0, 1): 1})
         with pytest.raises(StructuralError):
             Hypersurface.normal_coordinates(F, 3)
+
+    def test_rejects_missing_weight_k_part(self):
+        with pytest.raises(StructuralError, match="no weight-k part"):
+            Hypersurface.normal_coordinates(RealSeries(4, 8, {(5, 0, 0): 1}), 4)
+
+    def test_rejects_mismatched_k(self):
+        F = to_real_basis(ComplexSeries(4, 8, {(2, 2, 0): 1}))
+        with pytest.raises(StructuralError, match="type tag 4 != requested k = 5"):
+            Hypersurface.normal_coordinates(F, 5)
 
 
 class TestModelInvariants:
@@ -339,7 +352,7 @@ class TestComplexForms:
                 for clone in (copy.copy(H), copy.deepcopy(H),
                               pickle.loads(pickle.dumps(H))):
                     assert clone == H
-                    assert (clone.basis, clone.tube_form) == (H.basis, H.tube_form)
+                    assert clone.tube_form == H.tube_form
                     assert clone.complex_form() == H.complex_form()
                     assert clone.leading_complex() == H.leading_complex()
 

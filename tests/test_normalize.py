@@ -86,18 +86,18 @@ ONE_2I = GaussRat(1, 2)
 # planted too, so the graph stays real
 KO1_PLANTS = [
     ("ko1-half", (5, 0, 0), ONE_2I, [("Z[j,0]", (5, 0, 0), ONE_2I)]),
-    # a pure u^2 term is a Z[j,0] term for the half type only
+    # a pure u^2 term is a Z[j,0] term of every form: F(z, 0, u) = 0
     ("ko1-half", (0, 0, 2), Q(3), [("Z[j,0]", (0, 0, 2), Q(3))]),
     ("ko1-half", (2, 3, 0), ONE_2I, [("Z[e,e+j]", (2, 3, 0), ONE_2I)]),
     ("ko1-half", (4, 4, 0), Q(3), [("Z[2e,2e]", (4, 4, 0), Q(3))]),
     ("ko1-half", (6, 6, 0), Q(3), [("Z[3e,3e]", (6, 6, 0), Q(3))]),
     ("ko1-half", (4, 3, 0), ONE_2I, [("Z[2e,2e-1]", (4, 3, 0), ONE_2I)]),
     ("ko1-tube", (5, 0, 0), ONE_2I, [("Z[j,0]", (5, 0, 0), ONE_2I)]),
-    ("ko1-tube", (0, 0, 2), Q(3), []),
+    ("ko1-tube", (0, 0, 2), Q(3), [("Z[j,0]", (0, 0, 2), Q(3))]),
     ("ko1-tube", (3, 2, 1), ONE_2I, [("Z[j>=k-1,l]", (3, 2, 1), ONE_2I)]),
     ("ko1-tube", (2, 1, 1), ONE_2I, [("Re Z[k-2,1]", (2, 1, 1), Q(1))]),
     ("ko1-nontube", (5, 0, 0), ONE_2I, [("Z[j,0]", (5, 0, 0), ONE_2I)]),
-    ("ko1-nontube", (0, 0, 2), Q(3), []),
+    ("ko1-nontube", (0, 0, 2), Q(3), [("Z[j,0]", (0, 0, 2), Q(3))]),
     ("ko1-nontube", (3, 1, 1), ONE_2I, [("Z[k-e+j,e]", (3, 1, 1), ONE_2I)]),
     ("ko1-nontube", (6, 2, 0), ONE_2I, [("Z[2k-2e,2e]", (6, 2, 0), ONE_2I)]),
     # Z[2,1] pairs against the model's a_3 = 1: 3 Z[2,1] at u^1
@@ -622,3 +622,44 @@ class TestNtNormalize:
         assert check(res.H_normal, NormalFormKind.nontransversal()) == []
         assert res.H_normal == H
         assert res.T == T.inverse()
+
+
+# ------------------------------------------------------------ front door
+
+
+SOLVERS = {"rigid": rigid_normalize, "nt": nt_normalize}
+
+
+class TestFrontDoor:
+    @pytest.mark.parametrize("mode, key", [("rigid", (2, 0, 1)), ("nt", (3, 1, 0))])
+    def test_out_of_class_solution_is_internal_error(self, monkeypatch, mode, key):
+        # a solved graph that leaves the class fails check's outside test,
+        # also under python -O
+        bad = normalize.NormalizationResult(
+            H_of({key: 1}, 3, 9), FormalMap.identity(3, 9), ())
+        monkeypatch.setattr(normalize, "_solve", lambda H, mode, targets: bad)
+        with pytest.raises(InternalError, match="violated condition"):
+            SOLVERS[mode](H_of({(4, 0, 0): 1}, 3, 9))
+
+    # t's cases of the next two are TestTNormalize's model_short_circuits
+    # and rejects_loose_leading
+    @pytest.mark.parametrize("mode", ["rigid", "nt"])
+    def test_bare_model_is_returned_as_it_is(self, mode):
+        H = H_of({}, 4, 8)
+        res = SOLVERS[mode](H)
+        assert res.H_normal is H
+        assert res.T.is_identity() and res.per_weight_report == ()
+
+    @pytest.mark.parametrize("mode, error, key, message", [
+        ("rigid", NotRigidError, (1, 0, 1), "input depends on u"),
+        ("nt", NotTransversallyFlatError, (3, 1, 0), "input depends on y")])
+    def test_refusal_keeps_class_and_message(self, mode, error, key, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            SOLVERS[mode](H_of({key: 1}, 3, 9))
+
+    @pytest.mark.parametrize("mode", ["rigid", "nt"])
+    def test_loose_leading_refused(self, mode):
+        H = Hypersurface.normal_coordinates(
+            to_real_basis(ComplexSeries(4, 8, {(2, 2, 0): 1})), 4)
+        with pytest.raises(StructuralError, match="needs leading term x"):
+            SOLVERS[mode](H)

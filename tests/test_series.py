@@ -358,6 +358,11 @@ class TestRestrictToM:
         for key in list(re.coeffs) + list(im.coeffs):
             assert key[0] + key[1] + 3 * key[2] <= 9
 
+    def test_requires_holo_and_real_series(self):
+        F = RealSeries.monomial(3, 9, 3, 0, 0)
+        with pytest.raises(StructuralError, match="expects"):
+            restrict_to_M(F, F)
+
     def test_requires_compatible_kn(self):
         F = RealSeries.monomial(3, 9, 3, 0, 0)
         with pytest.raises(StructuralError):
@@ -404,6 +409,10 @@ class TestShiftU:
                 oracle.X, oracle.Y,
                 oracle.padd(oracle.U, oracle.from_real_series(P)), N)
             assert oracle.real_dict(want) == got.coeffs
+
+    def test_zero_perturbation_returns_the_series(self):
+        F = RealSeries.monomial(3, 9, 0, 0, 2)
+        assert shift_u(F, RealSeries(3, 9)) is F
 
     def test_rejects_light_perturbation(self):
         F = RealSeries.monomial(3, 9, 0, 0, 2)
@@ -559,6 +568,10 @@ class TestScaleW:
         # v = x^3 + x u: under w -> 2w the graph becomes v = 2 x^3 + x u
         F = RealSeries(3, 9, {(3, 0, 0): 1, (1, 0, 1): 1})
         assert scale_w(F, 2) == RealSeries(3, 9, {(3, 0, 0): 2, (1, 0, 1): 1})
+
+    def test_scale_w_rejects_zero(self):
+        with pytest.raises(StructuralError, match="nonzero"):
+            scale_w(RealSeries.monomial(3, 9, 3, 0, 0), 0)
 
     def test_scale_w_round_trip(self):
         rng = seeded(109)

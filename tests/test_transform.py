@@ -72,6 +72,15 @@ class TestFormalMapStructure:
         with pytest.raises(StructuralError):
             FormalMap(HoloSeries.zero(3, 9), HoloSeries(3, 9, {(3, 0): 1}))
 
+    def test_rejects_f_and_g_of_different_k_or_N(self):
+        for g in (HoloSeries.zero(4, 9), HoloSeries.zero(3, 10)):
+            with pytest.raises(StructuralError, match="share k and N"):
+                FormalMap(HoloSeries.zero(3, 9), g)
+
+    def test_compose_rejects_mismatched_maps(self):
+        with pytest.raises(StructuralError, match="different k or N"):
+            FormalMap.identity(3, 9).compose(FormalMap.identity(3, 10))
+
     def test_f_canonical_drop(self):
         # f terms above weight N-k+1 cannot affect the image through N
         f1 = HoloSeries(3, 9, {(2, 0): 1, (8, 0): 5})
@@ -287,6 +296,17 @@ class TestPushforward:
         F = rand_hypersurface_series(rng, 3, 9)
         H = Hypersurface.validate(F, 3)
         assert pushforward(H, FormalMap.identity(3, 9)) == H
+
+    def test_rejects_map_of_other_k(self):
+        F = RealSeries.monomial(3, 9, 3, 0, 0)
+        with pytest.raises(StructuralError, match="map k = 4 does not match"):
+            pushforward_series(F, FormalMap.identity(4, 9))
+
+    def test_rejects_graph_below_weight_k_under_nonzero_map(self):
+        F = RealSeries(4, 8, {(4, 0, 0): 1, (2, 0, 0): 1})
+        T = FormalMap.from_parts(4, 8, {(2, 0): GaussRat(1)}, {})
+        with pytest.raises(StructuralError, match="weight 2 < k = 4"):
+            pushforward_series(F, T)
 
     def test_matches_oracle_random(self):
         rng = seeded(307)
