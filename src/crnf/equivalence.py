@@ -27,8 +27,8 @@ from .transform import FormalMap, LinearFactor, apply_linear_series, pushforward
 
 
 def _int_nth_root(n, r):
-    """Exact integer r-th root of n >= 1, or None.  Integer Newton."""
-    if n == 1 or r == 1:
+    """Exact integer r-th root of n >= 0, or None.  Integer Newton."""
+    if n <= 1 or r == 1:
         return n
     x = 1 << ((n.bit_length() + r - 1) // r + 1)
     while True:
@@ -40,7 +40,7 @@ def _int_nth_root(n, r):
 
 
 def _perfect_root(q, r):
-    """Exact rational r-th root of q > 0, or None."""
+    """Exact rational r-th root of q >= 0, or None."""
     if r == 1:
         return q
     num = _int_nth_root(q.numerator, r)

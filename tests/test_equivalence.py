@@ -48,16 +48,20 @@ class TestRadicalReal:
         assert RadicalReal.make(Q(4), 4, 1) == RadicalReal(Q(2), 2, 1)
         assert RadicalReal.make(Q(2), 2, 1) == RadicalReal(Q(2), 2, 1)
 
-    def test_make_takes_powers_and_products(self):
-        # (sign b^(1/r))^n is make(b^n, r, sign^n) and q sign b^(1/r) is
-        # make(|q|^r b, r, sign(q) sign): both fold to the least root index
+    def test_pow_int(self):
+        # (sign b^(1/r))^n is make(b^n, r, sign^n), folded to the least
+        # root index
         assert RadicalReal.make(Q(2) ** 2, 2, 1) == Q(2)
         assert RadicalReal.make(Q(2) ** 4, 2, 1) == Q(4)
         assert RadicalReal.make(Q(2) ** 3, 2, 1) == RadicalReal(Q(8), 2, 1)
         assert RadicalReal.make(Q(2) ** 2, 2, (-1) ** 2) == Q(2)
         assert RadicalReal.make(Q(2) ** 3, 2, (-1) ** 3) == RadicalReal(Q(8), 2, -1)
+
+    def test_times_rat_folds(self):
+        # q sign b^(1/r) is make(|q|^r b, r, sign(q) sign)
         assert RadicalReal.make(Q(3) ** 2 * 2, 2, 1) == RadicalReal(Q(18), 2, 1)
         assert RadicalReal.make(Q(1, 2) ** 2 * 2, 2, -1) == RadicalReal(Q(1, 2), 2, -1)
+        assert RadicalReal.make(Q(0) ** 2 * 2, 2, 1) == Q(0)
         # sqrt(1/2) * 2 = sqrt(2)
         assert RadicalReal.make(Q(2) ** 2 * Q(1, 2), 2, 1) == RadicalReal(Q(2), 2, 1)
 
