@@ -22,7 +22,7 @@ from .errors import (
 from .hypersurface import Hypersurface
 from .normalize import NormalFormKind, check
 from .record import Record
-from .series import Frame, GaussRat, RealSeries, _PowerProducts, _shifted
+from .series import GaussRat, RealSeries
 from .transform import FormalMap, LinearFactor, apply_linear_series, pushforward_series
 
 
@@ -115,6 +115,20 @@ def _univariate(S, name):
     return out
 
 
+def _tube_image(u, k, N, h, a=1):
+    """The image of the tube v = sum u[j] x^j through weight N under
+    z -> az + iahw, w -> a^k w, as {degree: coefficient}: the pushforward
+    of the map z + ihw followed by the dilation a."""
+    S = RealSeries(k, N, {(j, 0, 0): v for j, v in u.items() if j <= N})
+    T = FormalMap.from_parts(k, N, {(0, 1): GaussRat(0, h)}, {}, LinearFactor(a))
+    out = {}
+    for (j, l, m), v in pushforward_series(S, T).coeffs.items():
+        if l or m:
+            raise InternalError("shift left the tube family")
+        out[j] = v
+    return out
+
+
 def _tube_normal_form(u, k, N):
     """Scale the leading coefficient to one and remove the x^(2k-1)
     term with the shift z* = z + ihw.  Returns (tail beyond x^k, h)."""
@@ -122,14 +136,7 @@ def _tube_normal_form(u, k, N):
     u = {j: v / lead for j, v in u.items()}
     h = -u.get(2 * k - 1, Fraction(0)) / k
     if h:
-        S = RealSeries(k, N, {(j, 0, 0): v for j, v in u.items()})
-        T = FormalMap.from_parts(k, N, {(0, 1): GaussRat(0, h)}, {})
-        img = pushforward_series(S, T)
-        u = {}
-        for (j, l, m), v in img.coeffs.items():
-            if l or m:
-                raise InternalError("shift left the tube family")
-            u[j] = v
+        u = _tube_image(u, k, N, h)
         if 2 * k - 1 in u:
             raise InternalError("shift missed its target")
     return {j: v for j, v in u.items() if j > k}, h
@@ -160,20 +167,12 @@ def _match_power_ratios(pairs):
 def _witness_holds(uF, uG, a, b, c, N):
     """True when G(ax - bF(x)) = cF(x) through weight N, for univariate
     uF, uG ({degree: coefficient}, both of minimum degree k >= 3 and
-    2k <= N).  The left side is G_a(x + P) with G_a(x) = G(ax) and
-    P = -(b/a) F, an increment of x that gains k - 1 >= 2."""
+    2k <= N).  The image of F under z -> az + ibw, w -> a^k w is the tube
+    G' with G'(ax - bF) = a^k F, so the identity is G' = (a^k / c) G."""
     k = min(uF)
-
-    def tube(u):
-        return RealSeries(k, N, {(j, 0, 0): v for j, v in u.items() if j <= N})
-
-    Ga = tube({j: v * a ** j for j, v in uG.items()})
-    P = tube({j: -b / a * v for j, v in uF.items()})
-    # G_a stands for no particular weight (unit 0), P for an increment of x
-    fr = Frame(k, Ga, P)
-    pp = _PowerProducts(((fr.real(P, 1),), (), ()), k)
-    (lhs,) = _shifted((fr.real(Ga, 0),), k, pp, N)
-    return fr.real_out(lhs, 0, N) == tube({j: c * v for j, v in uF.items()})
+    s = a ** k / c
+    return _tube_image(uF, k, N, b / a, a) == {j: s * v for j, v in uG.items()
+                                               if j <= N and v}
 
 
 def tube_equivalent(F: RealSeries, G: RealSeries):

@@ -26,14 +26,15 @@ from .errors import (
 from .record import Record
 from .series import (
     ComplexSeries,
+    Frame,
     GaussRat,
     HoloSeries,
     RealSeries,
+    _turn_real,
     restrict_to_M,
     scale_w,
     shift_u,
     to_complex_basis,
-    to_real_basis,
 )
 
 
@@ -262,8 +263,7 @@ def prenormalize_tube(F: RealSeries):
     mw = F.min_weight()
     if mw is None or mw < k:
         raise StructuralError(f"F must have min weight k = {k}, got {mw}")
-    C = to_complex_basis(F)
-    info = detect_tube_model(C.weight_part(k))
+    info = detect_tube_model(to_complex_basis(F.weight_part(k)))
     if not info.is_tube:
         raise NotTubeModelError(
             "weight-k mixed part is not a tube model (ratio test failed)")
@@ -279,16 +279,15 @@ def prenormalize_tube(F: RealSeries):
         rot = (rot + 2) % 4
         lam = -lam
 
-    # step 1: rotation z -> i^rot z, coefficient law c_{jlm} *= i^(rot(l-j))
-    if rot:
-        C = C.map_coeffs(lambda key, c: c.times_i_power((rot * (key[1] - key[0])) % 4))
+    # step 1: rotation z -> i^rot z, a quarter turn per step of the frame
+    # values (c_{jlm} *= i^(rot(l-j)) in the z, zbar basis)
+    fr = Frame(k, F)
+    G = fr.real_out(_turn_real(fr.real(F, k), rot), k, N)
 
     # step 2: w-scaling making the mixed part 2^-k C(k,j); negative scale
     # allowed for even k (odd k was fixed by the alpha flip above)
     w_scale = Fraction(1, 2 ** k) / lam
-    C = scale_w(C, w_scale)
-
-    G = to_real_basis(C)
+    G = scale_w(G, w_scale)
 
     # step 3: harmonic shift w -> w + c z^k moving the pure coefficient to 2^-k
     p = to_complex_basis(G.weight_part(k)).coeff(k, 0, 0)

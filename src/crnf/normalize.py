@@ -32,7 +32,7 @@ from .errors import (
 from .hypersurface import Hypersurface, essential_type
 from .linsolve import invert
 from .record import Record
-from .series import Frame, GaussRat, RealSeries, _key, rat
+from .series import Frame, GaussRat, RealSeries, _i_powers, _key, rat
 from .transform import FormalMap, _compose_frame, _graph_transform
 
 
@@ -269,8 +269,7 @@ def check(H: Hypersurface, kind: NormalFormKind):
 
 # ---------------------------------------------------------------- solver
 
-_I_RE = (1, 0, -1, 0)
-_I_IM = (0, 1, 0, -1)
+_I = _i_powers(1, 0)  # i^q as (re, im)
 
 
 def _condition_monomials(k, mode, mu):
@@ -311,13 +310,13 @@ def _column(k, which, j, m, part):
     for s in range(j + 1):
         cjs = comb(j, s)
         for t in range(m + 1):
-            q = (j - s + t) % 4
+            re, im = _I[(j - s + t) % 4]
             if which == "g":
                 mono = (s + k * t, j - s, m - t)
-                val = -_I_IM[q] if part == "re" else -_I_RE[q]
+                val = -im if part == "re" else -re
             else:
                 mono = (k - 1 + s + k * t, j - s, m - t)
-                val = k * _I_RE[q] if part == "re" else -k * _I_IM[q]
+                val = k * re if part == "re" else -k * im
             if val:
                 col[mono] = col.get(mono, 0) + cjs * comb(m, t) * val
     return col

@@ -258,15 +258,6 @@ class _Series:
     def __neg__(self):
         return self._raw(self.k, self.N, {key: -c for key, c in self.coeffs.items()})
 
-    def map_coeffs(self, fn):
-        """New series with coefficient fn(key, c) at each key; zeros dropped."""
-        out = {}
-        for key, c in self.coeffs.items():
-            v = fn(key, c)
-            if v:
-                out[key] = v
-        return self._raw(self.k, self.N, out)
-
     def _where(self, keep, N: int):
         """The terms whose weight passes keep, tagged with truncation N."""
         items = zip(self.coeffs.items(), _weights(self.coeffs, self.k))
@@ -396,11 +387,11 @@ class Frame:
     A series standing for a quantity of weight `unit` enters with each
     coefficient c on a monomial of weight w replaced by c D^(w - unit), and
     leaves by the inverse rule.  Where D^(w - unit) does not clear c (w equal
-    to the unit, or below it) the entered value stays a Fraction.  A map's
-    linear factor acts as the dilation D -> D delta (dilated) and a quarter
-    turn of the values (_turn).  The crnf.transform docstring states which
-    units the kernels use.  A series truncated above FRAME_MAX_N raises
-    TruncationError.
+    to the unit, or below it) the entered value stays a Fraction.  A linear
+    change z -> delta i^rot z acts as the dilation D -> D delta (dilated) and
+    a quarter turn of the values: _turn for a map, _turn_real for a graph.
+    The crnf.transform docstring states which units the kernels use.  A
+    series truncated above FRAME_MAX_N raises TruncationError.
     """
 
     __slots__ = ("k", "D", "_powers")
@@ -435,11 +426,13 @@ class Frame:
         self.D *= r
         self._powers = [1]
 
-    def dilated(self, delta: Fraction) -> "Frame":
+    def dilated(self, delta: Fraction, *values) -> "Frame":
         """The frame of D delta, where a value stands for the series dilated
         by z -> delta z, w -> delta^k w.  D first grows so that D delta is an
-        int: call it before any value enters this frame."""
-        self.grow(delta.denominator)
+        int, and the (frame dict, unit) pairs given grow with it (grow): a
+        value held there leaves the new frame as its image under
+        z -> delta z, w -> delta^k w.  Any other value enters after the call."""
+        self.grow(delta.denominator, *values)
         out = Frame(self.k)
         out.D = self.D // delta.denominator * delta.numerator
         return out
@@ -748,6 +741,19 @@ def _turn(h, rot: int, s: int):
     return _nonzero(re), _nonzero(im)
 
 
+def _turn_real(d: dict, rot: int) -> dict:
+    """The real frame value d of a graph carried by z -> i^rot z: per quarter
+    turn x^j y^l -> (-1)^l x^l y^j, which swaps the j and l fields of the
+    key, so adds (l - j) _MASK to it."""
+    for _ in range(rot):
+        out = {}
+        for key, c in d.items():
+            j, l = (key >> _S) & _MASK, key & _MASK
+            out[key + (l - j) * _MASK] = -c if l & 1 else c
+        d = out
+    return d
+
+
 def _z_to_xy(terms):
     """The sum of (nr + i ni) z^p zbar^q u^m over the given
     (p, q, keys, nr, ni), with int or frame values nr, ni, rewritten over
@@ -921,4 +927,4 @@ def scale_w(F, c):
     c = Fraction(c)
     if not c:
         raise StructuralError("w-scaling must be nonzero")
-    return F.map_coeffs(lambda key, v: c ** (1 - key[-1]) * v)
+    return F._raw(F.k, F.N, {key: c ** (1 - key[-1]) * v for key, v in F.coeffs.items()})

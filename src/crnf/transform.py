@@ -15,8 +15,7 @@ so FormalMap drops them canonically and equality of maps is structural.
 One substitution kernel: every binomial Taylor substitution of the package,
 h(x + b1, y + b2, u + b3) expanded over cached power products of the
 increments, runs in one kernel of crnf.series.  crnf.series._shifted
-evaluates it for compose (h(z + f, w + g)), shift_u (F(x, y, u + P)), the
-tube witness (G(ax - bF) = G_a(x + P), G_a(x) = G(ax), P = -(b/a) F) and
+evaluates it for compose (h(z + f, w + g)), shift_u (F(x, y, u + P)) and
 the restriction of f and g to the graph (h(x + iy, u + iF): z -> x + iy
 is a basis change, and iF a complex increment of u).  crnf.series._unshift
 solves it weight by weight for the graph transform (below) and inverse:
@@ -46,7 +45,7 @@ needs every gain >= 0 for _shifted (shift_u's -Re(c z^k) and the
 restriction's iF have gain 0, so a graph may have no monomial below weight
 k) and > 0 for _unshift (see there).
 
-Integer frame: the six consumers of the kernel (the restriction to the
+Integer frame: the five consumers of the kernel (the restriction to the
 graph among them) run on Python ints.  Each conjugates its inputs by the
 dilation z -> D z, w -> D^k w, where D is the lcm of the denominators of
 every input coefficient (crnf.series.Frame).  Inside the frame a series is
@@ -64,24 +63,28 @@ of what the series stands for:
     iF of the restriction           k       k          >= 0
     F of shift_u                    0       any        >= 0
     P of shift_u                    k       k          >= 0
-    G_a of the tube witness         0       k          >= k
-    P of the tube witness           1       k          >= k - 1
 
 The conjugate of z + f, w + g is z + D^-1 f(D z, D^k w),
 w + D^-k g(D z, D^k w), and every identity the kernels evaluate
-(h(z + f, w + g), h(x + iy, u + iF), F(x, y, u + P), G_a(x + P) and the
-graph equation below) is homogeneous in these units, so the kernels run
-unchanged on the conjugated data.  A linear factor L acts the same way:
-conjugating by L is the dilation D -> D delta (Frame.dilated) and the
-quarter turn i^(rot (j - s)) of each value of z^j w^m, s = 1 for f and 0
+(h(z + f, w + g), h(x + iy, u + iF), F(x, y, u + P) and the graph
+equation below) is homogeneous in these units, so the kernels run
+unchanged on the conjugated data.  A linear factor L acts the same way,
+on maps and graphs alike, and only here: conjugating by L is the dilation
+D -> D delta (Frame.dilated) and a quarter turn of the values.  On a map
+the turn is i^(rot (j - s)) on each value of z^j w^m, s = 1 for f and 0
 for g, which swaps the real and imaginary slots with a sign
-(crnf.series._turn).  compose enters the second map's f and g at D delta,
-and inverse lets phi and psi leave from it.  Where w - unit >= 1 the
-entry c D^(w - unit) is an integer, because the denominator of c divides D;
-then every product, binomial and sum is an integer operation, and each
-result coefficient leaves the frame once, as Fraction(n, D^(w - unit)).  No
-dilation clears an entry with w - unit = 0, such as a weight-k coefficient
-of the graph.  On the graphs the t-, rigid- and nt-normalizers work on
+(crnf.series._turn); on a graph it is rot steps x^j y^l -> (-1)^l x^l y^j
+(crnf.series._turn_real).  compose enters the second map's f and g at
+D delta, inverse lets phi and psi leave from it, and pushforward_series
+lets the image graph leave from it (apply_linear_series is the
+pushforward of a map with f = g = 0).  The values held when D grows for
+delta are rescaled by Frame.grow, which needs w - unit >= 0: so every
+pushforward, a purely linear one included, refuses a graph with a
+monomial below weight k.  Where w - unit >= 1 the entry c D^(w - unit) is
+an integer, because the denominator of c divides D; then every product,
+binomial and sum is an integer operation, and each result coefficient
+leaves the frame once, as Fraction(n, D^(w - unit)).  No dilation clears
+an entry with w - unit = 0, such as a weight-k coefficient of the graph.  On the graphs the t-, rigid- and nt-normalizers work on
 those are x^k = 1; a fractional model (normal coordinates, or a raw file
 given to apply) keeps them as Fractions.  The kernels use only +, - and *
 on values, so such an entry stays a Fraction, the values it touches become
@@ -114,6 +117,7 @@ from .series import (
     _restrict_frame,
     _shifted,
     _turn,
+    _turn_real,
     _unshift,
 )
 
@@ -264,52 +268,37 @@ def _add_parts(a: tuple, b: tuple) -> tuple:
 
 def apply_linear_series(F: RealSeries, L: LinearFactor) -> RealSeries:
     """Image of the graph v = F under the linear map z* = delta i^rot z,
-    w* = delta^k w: c delta^(k - w), then rot steps x^j y^l -> (-1)^l x^l y^j."""
-    if L.is_identity():
-        return F
-    k, d = F.k, L.delta
-    out = {}
-    scale = {}  # delta^(k - w) by weight w
-    for (j, l, m), c in F.coeffs.items():
-        w = j + l + k * m
-        s = scale.get(w)
-        if s is None:
-            s = scale[w] = d ** (k - w)
-        c *= s
-        for _ in range(L.rot):
-            j, l, c = l, j, -c if l & 1 else c
-        _acc_add(out, (j, l, m), c)
-    return RealSeries._raw(k, F.N, out)
+    w* = delta^k w: the pushforward of the map with f = g = 0 and linear
+    factor L, so c delta^(k - w), then rot steps x^j y^l -> (-1)^l x^l y^j."""
+    zero = HoloSeries.zero(F.k, F.N)
+    return pushforward_series(F, FormalMap(zero, zero, L))
 
 
 def pushforward_series(F: RealSeries, T: FormalMap) -> RealSeries:
     """The image graph of v = F under T, exact through weight F.N.
 
-    F may have any homogeneous leading structure of weight >= k; the image
-    series G is the unique solution of
+    F may have any homogeneous leading structure of weight >= k, and no
+    monomial below weight k (StructuralError otherwise); the image of the
+    unipotent part is the unique solution G of
 
         G(x + Re f|M, y + Im f|M, u + Re g|M) = F + Im g|M
 
-    followed by the coefficient action of the linear factor.  The solution
-    is found by weight recursion; the defining identity is checked to hold
-    exactly through weight N before returning.
+    found by weight recursion, with its defining identity checked to hold
+    exactly through weight N.  G then leaves the frame dilated by the linear
+    factor's delta, turned by its rot (Frame.dilated, _turn_real).
     """
     k, N = F.k, F.N
     if T.k != k:
         raise StructuralError(f"map k = {T.k} does not match series k = {k}")
     if T.N < N:
         raise StructuralError(f"map truncation {T.N} is below series N = {N}")
-    Tt = T.truncate(N) if T.N > N else T
-
-    G = F
-    if not (Tt.f.is_zero() and Tt.g.is_zero()):
-        if F.coeffs and F.min_weight() < k:
-            raise StructuralError(
-                f"graph has a monomial of weight {F.min_weight()} < k = {k}")
-        fr = Frame(k, F, Tt.f, Tt.g)
-        G = fr.real_out(_graph_transform(fr.real(F, k), fr.holo(Tt.f, 1),
-                                         fr.holo(Tt.g, k), k, N), k, N)
-    return apply_linear_series(G, Tt.linear)
+    if F.coeffs and F.min_weight() < k:
+        raise StructuralError(
+            f"graph has a monomial of weight {F.min_weight()} < k = {k}")
+    Tt, L = T.truncate(N), T.linear
+    fr = Frame(k, F, Tt.f, Tt.g)
+    G = _graph_transform(fr.real(F, k), fr.holo(Tt.f, 1), fr.holo(Tt.g, k), k, N)
+    return fr.dilated(L.delta, (G, k)).real_out(_turn_real(G, L.rot), k, N)
 
 
 def _graph_transform(Fx: dict, f: tuple, g: tuple, k: int, N: int) -> dict:

@@ -271,6 +271,13 @@ class TestApply:
         rc, _, err = run(capsys, ["apply", "--map", str(mp), path])
         assert rc == 2 and "disagree" in err
 
+    def test_linear_map_refuses_a_term_below_weight_k(self, tmp_path, capsys):
+        path = srs(tmp_path, "f.srs", X4 + "2 0 0 1/1\n")
+        mp = tmp_path / "l.map"
+        mp.write_text("map k=4 N=8\nlinear delta=2/3 rot=1\nf\ng\n")
+        rc, _, err = run(capsys, ["apply", "--map", str(mp), path])
+        assert rc == 2 and "weight 2 < k = 4" in err
+
     def test_zzu_basis_preserved(self, tmp_path, capsys):
         F = parse_series("k=4 N=8 basis=xyu\n4 0 0 1/1\n7 0 0 1/1\n")
         path = srs(tmp_path, "c.srs", serialize_series(to_complex_basis(F)))

@@ -25,7 +25,8 @@ from crnf.normalize import (
 )
 from crnf.series import (ComplexSeries, GaussRat, HoloSeries, RealSeries, to_complex_basis,
                          to_real_basis)
-from crnf.transform import FormalMap, LinearFactor, apply_linear_series, pushforward
+from crnf.transform import (FormalMap, LinearFactor, apply_linear_series, pushforward,
+                            pushforward_series)
 
 
 def H_of(d, k, N):
@@ -299,6 +300,22 @@ class TestClosedForms:
                 got = {slots[c]: matrix[ri][c]
                        for c in range(len(slots)) if matrix[ri][c] != 0}
                 assert got == closed_row(k, *key), (k, mu, key)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_columns_are_the_kernel(self, k):
+        # each hand-derived column is the weight-mu change of x^k under the
+        # unit map of its slot, as the graph transform computes it
+        for mode in ("t", "rigid", "nt"):
+            for mu in range(k + 1, 3 * k + 1):
+                N = max(mu, 2 * k)
+                model = RealSeries.monomial(k, N, k, 0, 0)
+                for which, j, m, part in normalize._unknown_slots(k, mode, mu):
+                    unit = {(j, m): GaussRat(1) if part == "re" else GaussRat(0, 1)}
+                    fg = (unit, {}) if which == "f" else ({}, unit)
+                    image = pushforward_series(model, FormalMap.from_parts(k, N, *fg))
+                    col = normalize._column(k, which, j, m, part)
+                    assert RealSeries(k, N, col) == (model - image).weight_part(mu), \
+                        (mode, mu, which, j, m, part)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_systems_square_and_nonsingular(self, k):

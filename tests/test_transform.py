@@ -13,7 +13,7 @@ from conftest import (
     seeded,
 )
 from crnf import series, transform
-from crnf.errors import InternalError, StructuralError, UnsupportedTypeError
+from crnf.errors import InternalError, StructuralError, TruncationError, UnsupportedTypeError
 from crnf.hypersurface import Hypersurface
 from crnf.series import ComplexSeries, GaussRat, HoloSeries, RealSeries, rat, to_real_basis
 from crnf.symmetry import classify_aut
@@ -308,6 +308,16 @@ class TestPushforward:
         with pytest.raises(StructuralError, match="weight 2 < k = 4"):
             pushforward_series(F, T)
 
+    def test_rejects_graph_below_weight_k_under_any_map(self):
+        # one weight rule for every pushforward: a linear or identity map
+        # refuses the term (1/3) x^2 too, rather than scale it by delta^(k - 2)
+        F = RealSeries(3, 8, {(3, 0, 0): 1, (2, 0, 0): rat(1, 3), (1, 1, 0): 5,
+                              (4, 1, 0): 2})
+        with pytest.raises(StructuralError, match="weight 2 < k = 3"):
+            apply_linear_series(F, LinearFactor(rat(1, 2), 1))
+        with pytest.raises(StructuralError, match="weight 2 < k = 3"):
+            pushforward_series(F, FormalMap.identity(3, 8))
+
     def test_matches_oracle_random(self):
         rng = seeded(307)
         cases = [(3, 9, 4), (4, 9, 3), (5, 11, 2)]
@@ -421,8 +431,9 @@ class TestPushforward:
 
 
 class TestLinearAboveFrameLimit:
-    """The linear action runs on tuple keys: it takes any N, where a frame
-    stops at FRAME_MAX_N."""
+    """A linear change is applied in the integer frame, so a graph truncated
+    above FRAME_MAX_N is refused, as by every other transform; the symmetry
+    test needs no frame and still takes it."""
 
     N = series.FRAME_MAX_N + 1
 
@@ -431,17 +442,14 @@ class TestLinearAboveFrameLimit:
                                       (0, 1, (self.N - 1) // 3): 3})
 
     def test_apply_linear_series(self):
-        F, N = self.graph(), self.N
-        G = apply_linear_series(F, LinearFactor(-2, 1))
-        assert G.N == N
-        assert G.coeff(0, N, 0) == rat(1, 2) * rat(-2) ** (3 - N)
-        assert apply_linear_series(G, LinearFactor(rat(-1, 2), 3)) == F
+        with pytest.raises(TruncationError, match="limit"):
+            apply_linear_series(self.graph(), LinearFactor(-2, 1))
 
     def test_pushforward_of_a_linear_map(self):
-        F, N = self.graph(), self.N
-        L = LinearFactor(rat(3, 2), 2)
-        T = FormalMap(HoloSeries.zero(3, N), HoloSeries.zero(3, N), L)
-        assert pushforward_series(F, T) == apply_linear_series(F, L)
+        N = self.N
+        T = FormalMap(HoloSeries.zero(3, N), HoloSeries.zero(3, N), LinearFactor(rat(3, 2), 2))
+        with pytest.raises(TruncationError, match="limit"):
+            pushforward_series(self.graph(), T)
 
     def test_classify_aut(self):
         H = Hypersurface.validate(RealSeries(3, self.N, {(3, 0, 0): 1, (5, 0, 0): 1}), 3)
