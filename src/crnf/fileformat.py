@@ -21,7 +21,7 @@ from .errors import DigitLimitError, StructuralError
 from .series import ComplexSeries, GaussRat, RealSeries
 from .transform import FormalMap, LinearFactor
 
-_RAT = re.compile(r"-?\d+(/\d+)?\Z")
+_RAT = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 
 def _digit_limit(what):
@@ -61,15 +61,17 @@ def _content_lines(text):
 
 
 def _parse_int(tok, what, line_no):
+    """An integer token, -?[0-9]+ as parse_rat reads one: int() alone would
+    also take '+4', '1_2' and non-ASCII digits."""
+    if not (tok.isascii()
+            and (tok.isdigit() or tok.startswith("-") and tok[1:].isdigit())):
+        raise StructuralError(f"line {line_no}: {what} must be an integer, "
+                              f"got {tok!r}")
     try:
         return int(tok)
     except ValueError:
-        # an integer token, as parse_rat reads one, fails int() only over the
-        # digit limit
-        if "/" not in tok and _RAT.match(tok):
-            raise _digit_limit(f"line {line_no}: {what} {tok[:20]}...") from None
-        raise StructuralError(f"line {line_no}: {what} must be an integer, "
-                              f"got {tok!r}") from None
+        # such a token fails int() only over the digit limit
+        raise _digit_limit(f"line {line_no}: {what} {tok[:20]}...") from None
 
 
 def _parse_header(fields, line_no, expect):

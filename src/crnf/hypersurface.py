@@ -24,18 +24,7 @@ from .errors import (
     StructuralError,
 )
 from .record import Record
-from .series import (
-    ComplexSeries,
-    Frame,
-    GaussRat,
-    HoloSeries,
-    RealSeries,
-    _turn_real,
-    restrict_to_M,
-    scale_w,
-    shift_u,
-    to_complex_basis,
-)
+from .series import ComplexSeries, GaussRat, RealSeries, graded_image, to_complex_basis
 
 
 class Hypersurface:
@@ -259,11 +248,12 @@ def prenormalize_tube(F: RealSeries):
     which has no Gaussian rational representation; that raises
     NotExactlyRepresentableError carrying the failed condition.
     """
-    k, N = F.k, F.N
+    k = F.k
     mw = F.min_weight()
     if mw is None or mw < k:
         raise StructuralError(f"F must have min weight k = {k}, got {mw}")
-    info = detect_tube_model(to_complex_basis(F.weight_part(k)))
+    lead = to_complex_basis(F.weight_part(k))
+    info = detect_tube_model(lead)
     if not info.is_tube:
         raise NotTubeModelError(
             "weight-k mixed part is not a tube model (ratio test failed)")
@@ -278,26 +268,14 @@ def prenormalize_tube(F: RealSeries):
         # flip alpha: odd k changes the sign of every mixed coefficient
         rot = (rot + 2) % 4
         lam = -lam
-
-    # step 1: rotation z -> i^rot z, a quarter turn per step of the frame
-    # values (c_{jlm} *= i^(rot(l-j)) in the z, zbar basis)
-    fr = Frame(k, F)
-    G = fr.real_out(_turn_real(fr.real(F, k), rot), k, N)
-
-    # step 2: w-scaling making the mixed part 2^-k C(k,j); negative scale
-    # allowed for even k (odd k was fixed by the alpha flip above)
+    # the w-scaling makes the mixed part 2^-k C(k,j); negative scale allowed
+    # for even k (odd k was fixed by the alpha flip above)
     w_scale = Fraction(1, 2 ** k) / lam
-    G = scale_w(G, w_scale)
-
-    # step 3: harmonic shift w -> w + c z^k moving the pure coefficient to 2^-k
-    p = to_complex_basis(G.weight_part(k)).coeff(k, 0, 0)
+    # the harmonic shift w -> w + c z^k moves the coefficient of z^k to 2^-k;
+    # z -> i^rot z and w -> s w carry the input's p0 to p0 i^(-rot k) s
+    p = lead.coeff(k, 0, 0).times_i_power(-rot * k) * w_scale
     c_h = (GaussRat(Fraction(1, 2 ** k)) - p) * GaussRat(0, 2)
-    if c_h:
-        # v gains Im(c z^k) while u must be read at u - Re(c z^k)
-        re_s, im_s = restrict_to_M(HoloSeries.monomial(k, N, k, 0, c_h), G)
-        G = shift_u(G, -re_s) + im_s
-
-    H = Hypersurface.validate(G, k)
+    H = Hypersurface.validate(graded_image(F, rot, w_scale, c_h), k)
     if essential_type(H.leading_complex()) != 1:
         raise InternalError("prenormalization left a model of essential type != 1")
     record = PrenormalizationRecord(rot=rot, w_scale=w_scale, harmonic=c_h)

@@ -386,10 +386,15 @@ class Frame:
 
     A series standing for a quantity of weight `unit` enters with each
     coefficient c on a monomial of weight w replaced by c D^(w - unit), and
-    leaves by the inverse rule.  Where D^(w - unit) does not clear c (w equal
-    to the unit, or below it) the entered value stays a Fraction.  A linear
-    change z -> delta i^rot z acts as the dilation D -> D delta (dilated) and
-    a quarter turn of the values: _turn for a map, _turn_real for a graph.
+    leaves by the inverse rule.  The weight rule: no monomial lies below its
+    unit, so w - unit >= 0, which grow and power index by.  real, the one
+    door of a graph into the kernel, refuses a graph that breaks it with
+    StructuralError; every holo input keeps it (f from weight 2 at unit 1,
+    g from k + 1 at unit k, h at unit 0); power raises InternalError for a
+    negative exponent.  Where D^(w - unit) does not clear c (w equal to the
+    unit) the entered value stays a Fraction.  A linear change
+    z -> delta i^rot z acts as the dilation D -> D delta (dilated) and a
+    quarter turn of the values: _turn for a map, _turn_real for a graph.
     The crnf.transform docstring states which units the kernels use.  A
     series truncated above FRAME_MAX_N raises TruncationError.
     """
@@ -438,33 +443,33 @@ class Frame:
         return out
 
     def power(self, e: int) -> int:
+        if e < 0:
+            raise InternalError(f"frame power D^{e}: a monomial below its unit")
         p = self._powers
         while len(p) <= e:
             p.append(p[-1] * self.D)
         return p[e]
 
     def _enter(self, c: Fraction, e: int):
-        n, d = c.numerator, c.denominator
-        if e >= 0:
-            n *= self.power(e)
-        else:
-            d *= self.power(-e)
+        n, d = c.numerator * self.power(e), c.denominator
         if d == 1:
             return n
         q, r = divmod(n, d)
         return Fraction(n, d) if r else q
 
     def _leave(self, c, e: int) -> Fraction:
-        if e >= 0:
-            return Fraction(c, self.power(e))
-        return Fraction(c) * self.power(-e)
+        return Fraction(c, self.power(e))
 
     def real(self, s: RealSeries, unit: int) -> dict:
         k, enter = self.k, self._enter
         out = {}
         for (j, l, m), c in s.coeffs.items():
             key = _key(j, l, m, k)
-            out[key] = enter(c, (key >> _S2) - unit)
+            e = (key >> _S2) - unit
+            if e < 0:
+                raise StructuralError(
+                    f"graph has a monomial of weight {s.min_weight()} < k = {unit}")
+            out[key] = enter(c, e)
         return out
 
     def holo(self, h: HoloSeries, unit: int):
@@ -754,6 +759,29 @@ def _turn_real(d: dict, rot: int) -> dict:
     return d
 
 
+def graded_image(F: RealSeries, rot: int, s, c) -> RealSeries:
+    """The graph v = F carried by z -> i^rot z, then w -> s w (s real,
+    nonzero), then w -> w + c z^k, in one frame: rot quarter turns
+    (_turn_real), each u^m term times s^(1 - m), which keeps its weight, and
+    v gains Im(c z^k) while u is read at u - Re(c z^k), an increment of gain
+    0.  c z^k over x, y has weight k, the unit of a graph, so its values
+    enter as they are.  F may have no monomial below weight k."""
+    s, c = Fraction(s), GaussRat.of(c)
+    if not s:
+        raise StructuralError("w-scaling must be nonzero")
+    k, N = F.k, F.N
+    fr = Frame(k, F)
+    G = {key: v * s ** (1 - _monomial(key, k)[2])
+         for key, v in _turn_real(fr.real(F, k), rot % 4).items()}
+    re, im = _z_to_xy([(k, 0, [_key(k - r, r, 0, k) for r in range(k + 1)],
+                        c.re, c.im)])
+    for key, v in im.items():
+        _acc_add(G, key, v)
+    pp = _PowerProducts(((), (), (_nonzero({key: -v for key, v in re.items()}),)), k)
+    (G,) = _shifted((G,), k, pp, N)
+    return fr.real_out(G, k, N)
+
+
 def _z_to_xy(terms):
     """The sum of (nr + i ni) z^p zbar^q u^m over the given
     (p, q, keys, nr, ni), with int or frame values nr, ni, rewritten over
@@ -871,39 +899,11 @@ def restrict_to_M(h: HoloSeries, F: RealSeries):
     if h.N > F.N:
         raise StructuralError(f"h.N = {h.N} exceeds F.N = {F.N}")
     k, N = h.k, h.N
-    if F.coeffs and F.min_weight() < k:
-        raise StructuralError(
-            f"graph has a monomial of weight {F.min_weight()} < k = {k}")
     # h stands for no particular weight (unit 0); v = F has the weight of u
     fr = Frame(k, h, F)
     pp = _PowerProducts(((), (), ({}, fr.real(F, k))), k)
     re, im = _restrict_frame(fr.holo(h, 0), k, pp, N)
     return fr.real_out(re, 0, N), fr.real_out(im, 0, N)
-
-
-# ---------------------------------------------------------------------------
-# substitution u -> u + P(x, y, u)
-
-def shift_u(F: RealSeries, P: RealSeries) -> RealSeries:
-    """F(x, y, u + P) truncated at F.N.
-
-    P must have minimal weight >= k (the weight of u): then the substitution
-    never lowers the weight of a monomial and the truncated coefficients of
-    the result are exact.
-    """
-    F._require_same(P)
-    if P.is_zero():
-        return F
-    k, N = F.k, F.N
-    pmin = P.min_weight()
-    if pmin < k:
-        raise StructuralError(
-            f"shift_u needs a perturbation of weight >= k = {k}, got {pmin}")
-    # F stands for no particular weight (unit 0), P for an increment of u
-    fr = Frame(k, F, P)
-    pp = _PowerProducts(((), (), (fr.real(P, k),)), k)
-    (out,) = _shifted((fr.real(F, 0),), k, pp, N)
-    return fr.real_out(out, 0, N)
 
 
 def _acc_add(out, key, val):
@@ -917,14 +917,3 @@ def _acc_add(out, key, val):
         out[key] = s
     else:
         del out[key]
-
-
-def scale_w(F, c):
-    """Coefficient transform of v = F under w -> c*w (c real, nonzero):
-    the image hypersurface is v = c^(1-m) applied per u-degree m.  F may be
-    a RealSeries, ComplexSeries or HoloSeries; m is the last exponent of
-    each key."""
-    c = Fraction(c)
-    if not c:
-        raise StructuralError("w-scaling must be nonzero")
-    return F._raw(F.k, F.N, {key: c ** (1 - key[-1]) * v for key, v in F.coeffs.items()})

@@ -15,12 +15,12 @@ so FormalMap drops them canonically and equality of maps is structural.
 One substitution kernel: every binomial Taylor substitution of the package,
 h(x + b1, y + b2, u + b3) expanded over cached power products of the
 increments, runs in one kernel of crnf.series.  crnf.series._shifted
-evaluates it for compose (h(z + f, w + g)), shift_u (F(x, y, u + P)) and
-the restriction of f and g to the graph (h(x + iy, u + iF): z -> x + iy
-is a basis change, and iF a complex increment of u).  crnf.series._unshift
-solves it weight by weight for the graph transform (below) and inverse:
-U^-1 = (z + phi, w + psi) has phi(z + f, w + g) = -f and
-psi(z + f, w + g) = -g.
+evaluates it for compose (h(z + f, w + g)), graded_image
+(F(x, y, u - Re(c z^k))) and the restriction of f and g to the graph
+(h(x + iy, u + iF): z -> x + iy is a basis change, and iF a complex
+increment of u).  crnf.series._unshift solves it weight by weight for the
+graph transform (below) and inverse: U^-1 = (z + phi, w + psi) has
+phi(z + f, w + g) = -f and psi(z + f, w + g) = -g.
 
 Weight budget: every product here is formed only through the weight its
 consumer can use.  A substitution is wanted through weight W: N - k + 1
@@ -41,7 +41,7 @@ set, and so do phi and psi in inverse.  The cache keeps each product with
 its bound and rebuilds it when a later consumer needs more; no cache
 outlives the call that made it.  Nothing above a budget can reach a kept
 coefficient, so the results are the same as with products through N.  This
-needs every gain >= 0 for _shifted (shift_u's -Re(c z^k) and the
+needs every gain >= 0 for _shifted (graded_image's -Re(c z^k) and the
 restriction's iF have gain 0, so a graph may have no monomial below weight
 k) and > 0 for _unshift (see there).
 
@@ -61,13 +61,12 @@ of what the series stands for:
     g, psi, Re g|M, Im g|M          k       k + 1      >= 1
     f, phi, Re f|M, Im f|M          1       2          >= 1
     iF of the restriction           k       k          >= 0
-    F of shift_u                    0       any        >= 0
-    P of shift_u                    k       k          >= 0
+    -Re(c z^k) of graded_image      k       k             0
 
 The conjugate of z + f, w + g is z + D^-1 f(D z, D^k w),
 w + D^-k g(D z, D^k w), and every identity the kernels evaluate
-(h(z + f, w + g), h(x + iy, u + iF), F(x, y, u + P) and the graph
-equation below) is homogeneous in these units, so the kernels run
+(h(z + f, w + g), h(x + iy, u + iF), F(x, y, u - Re(c z^k)) and the
+graph equation below) is homogeneous in these units, so the kernels run
 unchanged on the conjugated data.  A linear factor L acts the same way,
 on maps and graphs alike, and only here: conjugating by L is the dilation
 D -> D delta (Frame.dilated) and a quarter turn of the values.  On a map
@@ -78,9 +77,10 @@ for g, which swaps the real and imaginary slots with a sign
 D delta, inverse lets phi and psi leave from it, and pushforward_series
 lets the image graph leave from it (apply_linear_series is the
 pushforward of a map with f = g = 0).  The values held when D grows for
-delta are rescaled by Frame.grow, which needs w - unit >= 0: so every
-pushforward, a purely linear one included, refuses a graph with a
-monomial below weight k.  Where w - unit >= 1 the entry c D^(w - unit) is
+delta are rescaled by Frame.grow, which needs w - unit >= 0: so
+Frame.real, the one door of a graph into the kernel, refuses one with a
+monomial below weight k, and every pushforward, a purely linear one
+included, with it.  Where w - unit >= 1 the entry c D^(w - unit) is
 an integer, because the denominator of c divides D; then every product,
 binomial and sum is an integer operation, and each result coefficient
 leaves the frame once, as Fraction(n, D^(w - unit)).  No dilation clears
@@ -292,9 +292,6 @@ def pushforward_series(F: RealSeries, T: FormalMap) -> RealSeries:
         raise StructuralError(f"map k = {T.k} does not match series k = {k}")
     if T.N < N:
         raise StructuralError(f"map truncation {T.N} is below series N = {N}")
-    if F.coeffs and F.min_weight() < k:
-        raise StructuralError(
-            f"graph has a monomial of weight {F.min_weight()} < k = {k}")
     Tt, L = T.truncate(N), T.linear
     fr = Frame(k, F, Tt.f, Tt.g)
     G = _graph_transform(fr.real(F, k), fr.holo(Tt.f, 1), fr.holo(Tt.g, k), k, N)

@@ -33,6 +33,33 @@ class TestRat:
             parse_rat("1/0")
 
 
+class TestAsciiIntegers:
+    """An integer token is -?[0-9]+ and a fraction -?[0-9]+(/[0-9]+)?:
+    no sign '+', no digit separator '_' and no digits outside ASCII."""
+
+    @pytest.mark.parametrize("text, what", [
+        ("k=4 N=1_2 basis=xyu\n4 0 0 1/1\n", "N"),
+        ("k=4 N=8 basis=xyu\n+4 0 0 1/1\n", "j"),
+        ("k=4 N=8 basis=xyu\n4 0 0 1/1\n2 0 +1 1/1\n", "m"),
+        ("k=4 N=8 basis=xyu\n\u0664 0 0 1/1\n", "j"),
+        ("k=\uff14 N=8 basis=xyu\n4 0 0 1/1\n", "k"),
+        ("map k=4 N=8\nlinear delta=1/1 rot=+1\nf\ng\n", "rot"),
+        ("map k=4 N=8\nf\n2 0_0 1/1 0/1\ng\n", "m"),
+    ], ids=["N-separator", "j-plus", "m-plus", "j-arabic-indic", "k-fullwidth",
+            "rot-plus", "map-m-separator"])
+    def test_integer_fields_refuse_other_forms(self, text, what):
+        parse = parse_map if text.startswith("map") else parse_series
+        with pytest.raises(StructuralError, match=f"line [0-9]+: {what} must be an integer"):
+            parse(text)
+
+    def test_fractions_refuse_non_ascii_digits(self):
+        for tok in ("\u0663/1", "3/\u0661", "-\uff13"):
+            with pytest.raises(StructuralError, match="bad fraction"):
+                parse_rat(tok)
+        with pytest.raises(StructuralError, match="bad fraction"):
+            parse_series("k=4 N=8 basis=xyu\n4 0 0 \u0663/1\n")
+
+
 digits = st.text("0123456789", min_size=1, max_size=30)
 
 

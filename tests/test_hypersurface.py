@@ -1,11 +1,12 @@
 import copy
 import pickle
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import oracle
-from conftest import rand_frac, rand_tail, seeded
+from conftest import rand_frac, rand_gauss, rand_real_series, rand_tail, seeded
 from crnf.errors import (
     NotExactlyRepresentableError,
     NotTubeModelError,
@@ -14,6 +15,7 @@ from crnf.errors import (
 from crnf.fileformat import parse_series, serialize_series
 from crnf.hypersurface import (
     Hypersurface,
+    PrenormalizationRecord,
     detect_tube_model,
     essential_type,
     invariant_L,
@@ -23,6 +25,7 @@ from crnf.series import (
     ComplexSeries,
     GaussRat,
     RealSeries,
+    graded_image,
     rat,
     to_complex_basis,
     to_real_basis,
@@ -219,6 +222,28 @@ def check_prenormalization_graph_identity(F, H, rec):
                         oracle.pimag_part(hz))
     rhs = oracle.subst_xyu(oracle.from_real_series(H.F), k, xstar, ystar, ustar, N)
     assert oracle.pclean(oracle.ptrunc(oracle.psub(vstar, rhs), k, N)) == {}
+
+
+class TestGradedImage:
+    def test_matches_the_recorded_change(self):
+        # z -> i^rot z, w -> s w, w -> w + c z^k on random graphs with u
+        # terms, checked by raw substitution; c = 0 and s < 0 included
+        rng = seeded(203)
+        for trial in range(24):
+            k = rng.choice([3, 4, 5])
+            N = 3 * k
+            F = rand_real_series(rng, k, N, nterms=6, min_wt=k)
+            rot, s = rng.randrange(4), rand_frac(rng, nonzero=True)
+            c = GaussRat(0) if trial % 4 == 0 else rand_gauss(rng)
+            G = graded_image(F, rot, s, c)
+            rec = PrenormalizationRecord(rot=rot, w_scale=s, harmonic=c)
+            check_prenormalization_graph_identity(F, SimpleNamespace(F=G), rec)
+
+    def test_refuses_a_term_below_k(self):
+        F = RealSeries(4, 8, {(4, 0, 0): 1, (3, 0, 0): 1})
+        with pytest.raises(StructuralError,
+                           match=r"^graph has a monomial of weight 3 < k = 4$"):
+            graded_image(F, 1, 2, GaussRat(1, 1))
 
 
 class TestPrenormalizeTube:

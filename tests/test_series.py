@@ -20,10 +20,9 @@ from crnf.series import (
     GaussRat,
     HoloSeries,
     RealSeries,
+    graded_image,
     rat,
     restrict_to_M,
-    scale_w,
-    shift_u,
     to_complex_basis,
     to_real_basis,
 )
@@ -42,6 +41,16 @@ def product(a, b, W=None):
     out = series._mul_parts(tuple(p.items() for p in fr.holo(a, 0)),
                             series._sorted_parts(fr.holo(b, 0)), W)
     return fr.holo_out(out, 0, a.N)
+
+
+def shift_u(F, P):
+    """F(x, y, u + P) through F.N: the kernel _shifted with F at unit 0 and
+    the increment P of u at the unit k."""
+    k, N = F.k, F.N
+    fr = series.Frame(k, F, P)
+    pp = series._PowerProducts(((), (), (fr.real(P, k),)), k)
+    (out,) = series._shifted((fr.real(F, 0),), k, pp, N)
+    return fr.real_out(out, 0, N)
 
 
 class TestGaussRat:
@@ -411,13 +420,16 @@ class TestShiftU:
             assert oracle.real_dict(want) == got.coeffs
 
     def test_zero_perturbation_returns_the_series(self):
+        # no turn, no scaling and no harmonic shift
         F = RealSeries.monomial(3, 9, 0, 0, 2)
-        assert shift_u(F, RealSeries(3, 9)) is F
+        assert graded_image(F, 0, 1, 0) == F
 
     def test_rejects_light_perturbation(self):
-        F = RealSeries.monomial(3, 9, 0, 0, 2)
-        with pytest.raises(StructuralError):
-            shift_u(F, RealSeries.monomial(3, 9, 2, 0, 0))
+        # an increment of u below weight k breaks the frame's weight rule
+        P = RealSeries.monomial(3, 9, 2, 0, 0)
+        with pytest.raises(StructuralError,
+                           match=r"^graph has a monomial of weight 2 < k = 3$"):
+            series.Frame(3, P).real(P, 3)
 
 
 class TestUnshift:
@@ -557,6 +569,17 @@ class TestFrameLimit:
             assert max(d) < 2 ** 30
             assert fr.real_out(d, 0, N) == S
 
+    def test_negative_power_is_an_internal_error(self):
+        # no value lies below its unit, so a negative exponent is a misuse
+        with pytest.raises(InternalError):
+            series.Frame(3).power(-1)
+
+    def test_limit_is_checked_before_the_weight_rule(self):
+        N = series.FRAME_MAX_N + 1
+        F = RealSeries(3, N, {(3, 0, 0): 1, (2, 0, 0): 1})
+        with pytest.raises(TruncationError, match="limit"):
+            restrict_to_M(HoloSeries.monomial(3, N, 0, 1), F)
+
     def test_limit_plus_one_rejected(self):
         a = RealSeries.monomial(3, series.FRAME_MAX_N + 1, 1, 0, 0)
         with pytest.raises(TruncationError, match="limit"):
@@ -567,14 +590,14 @@ class TestScaleW:
     def test_scale_w_coefficients(self):
         # v = x^3 + x u: under w -> 2w the graph becomes v = 2 x^3 + x u
         F = RealSeries(3, 9, {(3, 0, 0): 1, (1, 0, 1): 1})
-        assert scale_w(F, 2) == RealSeries(3, 9, {(3, 0, 0): 2, (1, 0, 1): 1})
+        assert graded_image(F, 0, 2, 0) == RealSeries(3, 9, {(3, 0, 0): 2, (1, 0, 1): 1})
 
     def test_scale_w_rejects_zero(self):
         with pytest.raises(StructuralError, match="nonzero"):
-            scale_w(RealSeries.monomial(3, 9, 3, 0, 0), 0)
+            graded_image(RealSeries.monomial(3, 9, 3, 0, 0), 0, 0, 0)
 
     def test_scale_w_round_trip(self):
         rng = seeded(109)
         F = rand_hypersurface_series(rng, 3, 9)
         c = rat(-3, 7)
-        assert scale_w(scale_w(F, c), 1 / c) == F
+        assert graded_image(graded_image(F, 0, c, 0), 0, 1 / c, 0) == F

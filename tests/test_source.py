@@ -59,3 +59,21 @@ def test_cli_import_stays_light():
     out = subprocess.run([sys.executable, "-S", "-c", code, src],
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == []
+
+
+def test_private_names_stay_in_the_kernel():
+    # the frame kernel of crnf.series is entered by crnf.transform and
+    # crnf.normalize only, and crnf.transform's own by crnf.normalize only
+    allowed = {"series": {"transform.py", "normalize.py"},
+               "transform": {"normalize.py"}}
+    found = []
+    for name, node in _package_nodes():
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.level == 0 and not node.module.startswith("crnf."):
+            continue
+        module = node.module.split(".")[-1]
+        if module in allowed and name not in allowed[module]:
+            found += [f"{name}:{node.lineno} {module}.{alias.name}"
+                      for alias in node.names if alias.name.startswith("_")]
+    assert found == []
