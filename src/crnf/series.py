@@ -41,10 +41,11 @@ so equality of series is plain structural equality of (k, N, coeffs).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import comb as binom, lcm
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import InternalError, StructuralError, TruncationError, UnsupportedTypeError
 
@@ -520,7 +521,10 @@ def _sorted_parts(a: tuple) -> tuple:
 def _mul_into(out: dict, x, ys: list, W: int, sign: int = 1):
     """Add sign * x * y through weight W to out (zeros are left in out); x
     is an iterable of (key, c) pairs and ys one part of _sorted_parts(y), so
-    the inner loop stops at the bound."""
+    the inner loop stops at the bound.  An empty ys returns at once, with x
+    unread."""
+    if not ys:
+        return
     get = out.get
     lim = (W + 1) << _S2  # key1 + key2 < lim exactly when w1 + w2 <= W
     for k1, c1 in x:
@@ -570,7 +574,11 @@ class _PowerProducts:
     base is absent or zero), and gmin the smallest of them (None when there
     is none): a term of weight w has no image below w + gmin.  Each gain
     must be >= 0; then P_t through bound needs its predecessor only through
-    bound - wt(step).
+    bound - wt(step).  The base of step i has min weight
+    wmin = wt(step) + gains[i], so a term of that predecessor above
+    bound - wmin meets no term of the base: only the prefix through
+    bound - wmin is multiplied.  The predecessor is still asked for through
+    bound - wt(step), the bound its own later requests reuse.
     """
 
     def __init__(self, bases, k):
@@ -596,6 +604,9 @@ class _PowerProducts:
             bound, cur = _UNBOUNDED, _sorted_parts(self.bases[i])
         else:
             prev = self.product(t - step, bound - (step >> _S2))
+            # a term above bound - wmin(base) meets no term of the base
+            lim = (bound - (step >> _S2) - self.gains[i] + 1) << _S2
+            prev = tuple(p[:bisect_left(p, (lim,))] for p in prev)
             cur = _sorted_parts(_mul_parts(prev, self.product(step, 0), bound))
         self.cache[t] = bound, cur
         return cur
@@ -613,13 +624,21 @@ def _substitute(h: tuple, k: int, pp: _PowerProducts, outs: tuple, sign: int, W:
     c C(j, t1) C(l, t2) C(m, t3) x^(j-t1) y^(l-t2) u^(m-t3) to its group, and
     each group is multiplied once by the power product of t, asked for
     through W less the lowest weight in the group, which is all that
-    _mul_into reads of it.  Its two callers are _shifted and _unshift.
+    _mul_into reads of it.  A term with w + 2 gmin > W has images of order 1
+    only, so it adds its at most three pairs, c j, c l and c m, directly;
+    the others read their binomials from the rows of _pascal.  Its two
+    callers are _shifted and _unshift.
     """
     if pp.gmin is None:
         return
     lim = (W - pp.gmin + 1) << _S2  # key < lim exactly when w + gmin <= W
+    # key >= lim2 exactly when w + 2 gmin > W: no image of order 2 or more
+    lim2 = (W - 2 * pp.gmin + 1) << _S2
     g1, g2, g3 = pp.gains
     K1, K2, K3 = pp.steps
+    # a term has a first-order image in x, y or u only up to these weights
+    top1, top2, top3 = (-1 if g is None else W - g for g in pp.gains)
+    rows = _PASCAL
     for a, part in enumerate(h):
         groups = {}  # the terms of each Taylor order, by its key
         for key, c in part.items():
@@ -627,7 +646,18 @@ def _substitute(h: tuple, k: int, pp: _PowerProducts, outs: tuple, sign: int, W:
                 continue
             j, l, m = _monomial(key, k)
             w = key >> _S2
-            r1, r2, r3 = _binomial_table(j, 0), _binomial_table(l, 0), _binomial_table(m, 0)
+            if key >= lim2:
+                # the pairs of t = u, y, x, in the order of the loops below
+                if m and w <= top3:
+                    groups.setdefault(K3, []).append((key - K3, c * m))
+                if l and w <= top2:
+                    groups.setdefault(K2, []).append((key - K2, c * l))
+                if j and w <= top1:
+                    groups.setdefault(K1, []).append((key - K1, c * j))
+                continue
+            if j >= len(rows) or l >= len(rows) or m >= len(rows):
+                rows = _pascal(max(j, l, m))
+            r1, r2, r3 = rows[j], rows[l], rows[m]
             for t1 in range(j + 1 if g1 is not None else 1):
                 e1 = w + t1 * g1 if t1 else w
                 if e1 > W:
@@ -666,25 +696,32 @@ def _unshift(R: tuple, k: int, pp: _PowerProducts, W: int) -> tuple:
     real (re,) or complex (re, im) frame values, where b1, b2, b3 are the
     bases of pp: the one weight recursion of the package, run by the graph
     transform and by the inverse of a map.  Each base needs gain > 0; then
-    the substitution of G's weight-mu slice lands above mu only, so the
-    slice is what is left of R at weight mu once the lower slices are
-    substituted.  A slice above W - pp.gmin has no image through W, so from
-    there on the slices only move into G.  Anything left in a solved weight
-    raises InternalError."""
+    the image of G's weight-mu slice lands at mu + gmin or above, so the
+    slices of a window mu .. mu + gmin - 1 cannot reach one another: each
+    is what is left of R at its weight once the lower windows are
+    substituted, and the window is substituted in one _substitute call, so
+    that the groups of one Taylor order merge across its slices.  A window
+    is max(gmin, 1) weights wide.  A window that starts above W - pp.gmin
+    has no image through W, so from there on the slices only move into G.
+    Anything left in a solved weight raises InternalError."""
     E = tuple([{} for _ in range(W + 1)] for _ in R)
     _add_by_weight(E, R)
     G = tuple({} for _ in R)
     wlow = _min_weight(R)
     if wlow is None:
         return G
-    last = W if pp.gmin is None else W - pp.gmin
-    for mu in range(wlow, W + 1):
-        S = tuple(_nonzero(buckets[mu]) for buckets in E)
+    gmin = pp.gmin or 0
+    width = max(gmin, 1)
+    for lo in range(wlow, W + 1, width):
+        window = range(lo, min(lo + width, W + 1))
+        S = tuple(_nonzero({key: c for mu in window for key, c in buckets[mu].items()})
+                  for buckets in E)
         for buckets, g, s in zip(E, G, S):
-            buckets[mu] = {}
+            for mu in window:
+                buckets[mu] = {}
             g.update(s)
-        if mu <= last:
-            # the slice's image is summed in flat dicts first, so that each
+        if lo + gmin <= W:
+            # the window's image is summed in flat dicts first, so that each
             # key is bucketed once rather than once per product
             image = tuple({} for _ in R)
             _substitute(S, k, pp, image, -1, W)
@@ -700,6 +737,22 @@ def _add_by_weight(E: tuple, parts: tuple):
         for key, c in part.items():
             bucket = buckets[key >> _S2]
             bucket[key] = bucket.get(key, 0) + c
+
+
+# ---------------------------------------------------------------------------
+# binomial coefficients
+
+_PASCAL = [(1,)]  # rows 0.. of Pascal's triangle, row p = C(p, 0..p)
+
+
+def _pascal(n: int) -> list:
+    """_PASCAL, grown to row n at least: it only grows, to the largest
+    exponent met."""
+    rows = _PASCAL
+    while len(rows) <= n:
+        r = rows[-1]
+        rows.append((1, *map(add, r, r[1:]), 1))
+    return rows
 
 
 # ---------------------------------------------------------------------------

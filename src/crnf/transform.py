@@ -23,17 +23,20 @@ graph transform (below) and inverse: U^-1 = (z + phi, w + psi) has
 phi(z + f, w + g) = -f and psi(z + f, w + g) = -g.
 
 Weight budget: every product here is formed only through the weight its
-consumer can use.  A substitution is wanted through weight W: N - k + 1
-for the f part of a map (and for Re f|M, Im f|M in the graph transform),
-and N otherwise.  The gain of an increment is its min weight less that of
-the variable it replaces, and gmin is the smallest gain of a set of
-increments.  A term of weight above W - gmin has no image through W, so
-the kernel skips it unread, and _unshift substitutes its slices only up to
-weight W - gmin.  The kernel groups the other terms by Taylor order t and
-asks for the power product of t through W less the lowest weight among the
-group's reduced terms, which is all the group's product reads of it.  A
-power product is built from its predecessor through that bound less the
-weight of the variable added.  One cache of power products
+consumer can use.  A substitution is wanted through weight W: N - k + 1 for
+the f part of a map (and for Re f|M, Im f|M in the graph transform), and N
+otherwise.  The gain of an increment is its min weight less that of the
+variable it replaces, and gmin is the smallest gain of a set of increments.
+A term of weight above W - gmin has no image through W, so the kernel skips
+it unread.  _unshift substitutes its slices in windows of max(gmin, 1)
+weights, one kernel call each: the image of a slice lies gmin or more above
+it, so no slice of a window reaches another, and a window that starts above
+W - gmin is not substituted.  The kernel groups the other terms by Taylor
+order t and asks for the power product of t through W less the lowest
+weight among the group's reduced terms, which is all the group's product
+reads of it.  A power product is built from its predecessor through that
+bound less the weight of the variable added, and only the predecessor's
+terms that can meet the base are multiplied.  One cache of power products
 (crnf.series._PowerProducts) serves every substitution over one set of
 increments within a call: the restrictions of f and g in the graph
 transform share the powers of iF, the f and g halves of compose share one

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from conftest import (
@@ -466,6 +468,107 @@ class TestUnshift:
         with pytest.raises(InternalError, match="residue"):
             series._unshift((x,), 3, series._PowerProducts(((x,), (), ()), 3), 6)
 
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("e", [2, 3, 4])
+    def test_one_substitute_call_per_window(self, monkeypatch, e, complex_):
+        # the image of a slice lies e or more above it, so the slices of a
+        # window of e weights are substituted together, in one call
+        k, W = 3, 15
+        rng = seeded(10 * e + complex_)
+        parts = 2 if complex_ else 1
+        R = tuple({series._key(*mono, k): rng.randint(-4, 4) or 1
+                   for mono in rng.sample(weight_monomials(k, 2, W), 12)}
+                  for _ in range(parts))
+        b1 = tuple({series._key(1 + e, 0, 0, k): 1, series._key(2, e, 0, k): -2}
+                   for _ in range(parts))
+        b3 = tuple({series._key(1, 1, 1 + e // 3, k): 3} for _ in range(parts))
+        bases = (b1, (), b3)
+        want = unshift_per_slice(R, k, series._PowerProducts(bases, k), W)
+        pp = series._PowerProducts(bases, k)
+        assert pp.gmin == e
+        calls, real = [], series._substitute
+        monkeypatch.setattr(series, "_substitute",
+                            lambda h, *args: (calls.append(h), real(h, *args)))
+        got = series._unshift(R, k, pp, W)
+        wlow = series._min_weight(R)
+        starts = range(wlow, W - e + 1, e)
+        assert len(calls) == len(starts)
+        for lo, h in zip(starts, calls):
+            assert all(lo <= key >> series._S2 < lo + e for part in h for key in part)
+        assert got == want
+        assert series._shifted(got, k, pp, W) == tuple(series._nonzero(p) for p in R)
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(st.data())
+    def test_round_trip(self, data):
+        # _shifted undoes _unshift through W for real and complex bases of
+        # gains 1 to 4, whatever the width of the windows
+        k = data.draw(st.sampled_from([3, 4, 5]))
+        W = data.draw(st.integers(k + 1, 14))
+        parts = data.draw(st.sampled_from([1, 2]))
+        gains = data.draw(st.lists(st.one_of(st.none(), st.integers(1, 4)),
+                                   min_size=3, max_size=3)
+                          .filter(lambda g: any(x is not None for x in g)))
+        coeff = st.integers(-5, 5).filter(bool)
+
+        def value(lo, hi, max_size):
+            keys = [series._key(*mono, k) for mono in weight_monomials(k, lo, hi)]
+            return tuple(data.draw(st.dictionaries(st.sampled_from(keys), coeff,
+                                                   max_size=max_size))
+                         for _ in range(parts))
+
+        bases = []
+        for g, unit in zip(gains, (1, 1, k)):
+            if g is None:
+                bases.append(())
+                continue
+            b = value(unit + g, max(W, unit + g), 3)
+            # one term of weight unit + g fixes the base's gain at g
+            lowest = data.draw(st.sampled_from(weight_monomials(k, unit + g, unit + g)))
+            b[0][series._key(*lowest, k)] = data.draw(coeff)
+            bases.append(b)
+        pp = series._PowerProducts(tuple(bases), k)
+        assert pp.gmin == min(g for g in gains if g is not None)
+        R = value(1, W, 8)
+        G = series._unshift(R, k, pp, W)
+        assert series._shifted(G, k, pp, W) == R
+
+
+def weight_monomials(k, lo, hi):
+    """Every (j, l, m) of weight lo through hi."""
+    return [(j, w - k * m - j, m) for w in range(lo, hi + 1)
+            for m in range(w // k + 1) for j in range(w - k * m + 1)]
+
+
+def unshift_per_slice(R, k, pp, W):
+    """The weight recursion one slice at a time: G's slice of weight mu is
+    what is left of R there once every lower slice is substituted."""
+    left = tuple(dict(p) for p in R)
+    G = tuple({} for _ in R)
+    for mu in range(W + 1):
+        S = tuple({key: c for key, c in p.items() if key >> series._S2 == mu and c}
+                  for p in left)
+        image = tuple({} for _ in R)
+        series._substitute(S, k, pp, image, -1, W)
+        for g, p, s, im in zip(G, left, S, image):
+            g.update(s)
+            for key in s:
+                del p[key]
+            for key, c in im.items():
+                p[key] = p.get(key, 0) + c
+    return G
+
+
+class TestMulInto:
+    def test_empty_second_factor_reads_nothing(self):
+        def untouchable():
+            raise AssertionError("the first factor was read")
+            yield
+
+        out = {}
+        series._mul_into(out, untouchable(), [], 9)
+        assert out == {}
+
 
 def frame_value(terms, k):
     """A real frame value, ({key: c},), from {(j, l, m): c}."""
@@ -528,6 +631,48 @@ class TestPowerProducts:
         # a smaller bound reads the cached product
         assert pp.product(t, 9) is got
 
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_predecessor_cut_to_what_meets_the_base(self, monkeypatch, complex_):
+        # bases of gains 1, 2 and 3, each part with a term at the base's min
+        # weight: P_t = P_(t - step) b_i multiplies no term of P_(t - step)
+        # above bound - wmin(b_i), and still equals the full product
+        k, N = 3, 16
+        parts = 2 if complex_ else 1
+
+        def base(terms):
+            return tuple(frame_value({mono: c * (1 + p) + p for mono, c in terms.items()}, k)[0]
+                         for p in range(parts))
+
+        bases = (base({(2, 0, 0): 1, (1, 1, 0): 2, (3, 1, 0): -1}),
+                 base({(0, 3, 0): 2, (1, 2, 0): -3, (0, 1, 1): 1}),
+                 base({(6, 0, 0): 1, (2, 2, 1): 3, (4, 0, 1): -2}))
+        assert series._PowerProducts(bases, k).gains == (1, 2, 3)
+        met = []
+
+        def mul_into(out, x, ys, W, sign=1):
+            x = list(x)
+            if x and ys:
+                met.append(max(x)[0] >> series._S2)
+                assert max(x)[0] >> series._S2 <= W - (ys[0][0] >> series._S2)
+            real_mul_into(out, x, ys, W, sign)
+
+        real_mul_into = series._mul_into
+        for t, steps in (((2, 1, 2), (0, 0, 2, 2, 1)), ((3, 0, 1), (0, 0, 0, 2)),
+                         ((0, 2, 2), (1, 1, 2, 2))):
+            want = bases[steps[0]]
+            for i in steps[1:]:
+                want = series._mul_parts(tuple(p.items() for p in want),
+                                         series._sorted_parts(bases[i]), N)
+            for bound in (10, 13, N):
+                pp = series._PowerProducts(bases, k)
+                monkeypatch.setattr(series, "_mul_into", mul_into)
+                got = pp.product(series._key(*t, k), bound)
+                monkeypatch.undo()
+                assert got == tuple(sorted((key, c) for key, c in p.items()
+                                           if key >> series._S2 <= bound)
+                                    for p in want)
+        assert met
+
     def test_term_at_the_skip_threshold_has_its_image(self):
         # w + gmin = W exactly: (x + x^3)^2 = x^2 + 2x^4 + x^6 through 4,
         # and u + x^4 at gain 1 through 4
@@ -539,6 +684,48 @@ class TestPowerProducts:
         pp = series._PowerProducts(((), (), frame_value({(4, 0, 0): 1}, k)), k)
         got = series._shifted(frame_value({(0, 0, 1): 1}, k), k, pp, 4)
         assert got == frame_value({(0, 0, 1): 1, (4, 0, 0): 1}, k)
+
+    def test_binomial_rows_grow_to_the_exponent(self, monkeypatch):
+        # from row 0 alone, u^3 with u -> u + x^4 needs row 3 of Pascal's
+        # triangle: (u + x^4)^3 = u^3 + 3 u^2 x^4 + 3 u x^8 + x^12
+        k = 3
+        monkeypatch.setattr(series, "_PASCAL", [(1,)])
+        pp = series._PowerProducts(((), (), frame_value({(4, 0, 0): 1}, k)), k)
+        got = series._shifted(frame_value({(0, 0, 3): 1}, k), k, pp, 12)
+        assert got == frame_value({(0, 0, 3): 1, (4, 0, 2): 3, (8, 0, 1): 3,
+                                   (12, 0, 0): 1}, k)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_first_order_images_only(self, complex_):
+        # k = 3, W = 9, gains 2, 2 and 4: x^2 y u (weight 6) has 6 + 2 gmin
+        # > 9, so only its pairs c j, c l, c m of order 1 apply, and the
+        # one in u (6 + 4 > 9) has no image
+        k, W = 3, 9
+        parts = 2 if complex_ else 1
+        bases = tuple(tuple(frame_value({mono: p + 1}, k)[0] for p in range(parts))
+                      for mono in ((3, 0, 0), (1, 2, 0), (7, 0, 0)))
+        h = tuple(frame_value({(2, 1, 1): 5 - p}, k)[0] for p in range(parts))
+        pp = series._PowerProducts(bases, k)
+        assert pp.gains == (2, 2, 4)
+        got = series._shifted(h, k, pp, W)
+        # (x^2 y u)(x + b1, y + b2, u + b3) - x^2 y u through 9:
+        # 2 x y u b1 + x^2 u b2 = 2 x^4 y u + x^3 y^2 u, times the coefficient
+        first = {(4, 1, 1): 2, (3, 2, 1): 1}
+        if complex_:
+            # (5 + 4i)(1 + 2i) = -3 + 14i for each pair
+            want = tuple({**frame_value({(2, 1, 1): c0}, k)[0],
+                          **frame_value({mono: n * c for mono, n in first.items()}, k)[0]}
+                         for c0, c in ((5, -3), (4, 14)))
+        else:
+            want = frame_value({(2, 1, 1): 5, **{mono: 5 * n for mono, n in first.items()}}, k)
+        assert got == want
+        # through each bound, the image through 20 (orders 1 to 4) truncated:
+        # at 10 = 6 + 2 gmin the images of order 2 reach the bound exactly
+        wide = series._shifted(h, k, pp, 20)
+        for bound in range(6, 20):
+            assert series._shifted(h, k, pp, bound) == tuple(
+                {key: c for key, c in p.items() if key >> series._S2 <= bound}
+                for p in wide)
 
 
 class TestFrameLimit:
